@@ -10,4 +10,12 @@ class InvariantError(ValueError):
 
 
 class SingularityError(RuntimeError):
-    """A matrix that must have full column rank does not."""
+    """A matrix that must have full column rank does not.
+
+    For a stack of matrices, ``index`` is the position of the first failing
+    one along the leading axis; it is None for a single matrix.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index

@@ -6,8 +6,17 @@ shared-frame candidates and retracts the average; local frames are then
 re-orthogonalized against the fresh shared frame (deflation + retraction),
 so the state handed to the next round always satisfies U^T V_i = 0.
 
-Clients are processed in ascending order and the server reduction is a
-fixed-order sum, so a run is bitwise reproducible given (config, inputs).
+The client axis is an array dimension. ``run_perpca`` stacks the
+covariances once per solve as a C-contiguous ``(N, d, d)`` array and keeps
+the local frames as ``(n_g, d, r2)`` stacks, one per distinct local rank
+(a single stack when all ranks are equal). Each round is then a few
+stacked matmuls and one batched SVD or QR per retraction; the client
+updates, the retractions and the correction step act on every slice
+exactly as they act on a single client, so a run gives the same bits as a
+client-by-client loop. Candidates go back into client order before the
+server sums them as a running sum in ascending client order, so a run is
+bitwise reproducible given (config, inputs). A singular retraction is
+reported with the round and the lowest-numbered failing client.
 """
 
 from dataclasses import dataclass
@@ -140,27 +149,38 @@ def init_distpca(covs, r1, r2_list, seed):
     return model.ComponentState(U, V).validate()
 
 
+def _mT(A):
+    # transpose of each matrix in a stack (plain transpose for a matrix)
+    return np.swapaxes(A, -1, -2)
+
+
 def correction_step(V_half, U_next, retraction="polar"):
     """Restore cross-orthogonality of a local frame against a fresh shared frame.
 
     Deflates V_half by the projection onto col(U_next) and retracts, i.e.
     GR(V_half; -U_next U_next^T V_half). Because the retraction preserves
     column spaces, the result stays orthogonal to U_next. A frame that is
-    already exactly orthogonal passes through unchanged.
+    already exactly orthogonal passes through unchanged. ``V_half`` may be
+    a stack ``(N, d, r2)`` of local frames, corrected slice by slice.
     """
     retract = stiefel.RETRACTIONS[retraction]
-    cross = U_next.T @ V_half
+    cross = _mT(U_next) @ V_half
     if not cross.any():
         return V_half
     return retract(V_half, -U_next @ cross)
 
 
+def _joint_frame(U, V):
+    # [U, V]; a shared U is repeated along the client axis of a stacked V
+    return np.concatenate([np.broadcast_to(U, V.shape[:-1] + U.shape[-1:]), V], axis=-1)
+
+
 def _parallel_gradient(U, V, S):
     # tangent projection, at the concatenated frame [U, V], of S [U, V]
-    W = np.concatenate([U, V], axis=1)
+    W = _joint_frame(U, V)
     G = S @ W
-    sym = W.T @ G
-    return G - W @ ((sym + sym.T) / 2.0)
+    sym = _mT(W) @ G
+    return G - W @ ((sym + _mT(sym)) / 2.0)
 
 
 def client_update_choice1(U, V, S, eta, retraction="polar"):
@@ -168,50 +188,106 @@ def client_update_choice1(U, V, S, eta, retraction="polar"):
 
     Returns ``(U_candidate, V_half)``. The shared candidate U + eta * g_U is
     deliberately not orthonormalized; the server retracts after averaging.
+    With stacks ``V`` (N, d, r2) and ``S`` (N, d, d) and one shared ``U``,
+    every client steps at once and both outputs are stacks.
     """
-    r1 = U.shape[1]
+    r1 = U.shape[-1]
     g = _parallel_gradient(U, V, S)
-    U_candidate = U + eta * g[:, :r1]
-    V_half = stiefel.RETRACTIONS[retraction](V, eta * g[:, r1:])
+    U_candidate = U + eta * g[..., :r1]
+    V_half = stiefel.RETRACTIONS[retraction](V, eta * g[..., r1:])
     return U_candidate, V_half
 
 
 def client_update_choice2(U, V, S, eta):
-    """Joint polar step: retract [U, V] + eta * S [U, V] and split."""
-    r1 = U.shape[1]
-    W = np.concatenate([U, V], axis=1)
+    """Joint polar step: retract [U, V] + eta * S [U, V] and split.
+
+    Takes stacks like :func:`client_update_choice1`.
+    """
+    r1 = U.shape[-1]
+    W = _joint_frame(U, V)
     W_next = stiefel.polar_retract(W, eta * (S @ W))
-    return W_next[:, :r1], W_next[:, r1:]
+    return W_next[..., :r1], W_next[..., r1:]
 
 
 def server_aggregate(U_candidates, U_prev, retraction="polar"):
     """Average the clients' shared-frame candidates and retract at U_prev.
 
-    Candidates are summed in list (ascending client) order.
+    ``U_candidates`` is a sequence of ``U_prev``-shaped arrays or a stack
+    ``(N, d, r1)``. They are summed in ascending client order, as a running
+    sum, so the result does not depend on how numpy would reduce the axis.
     """
     if len(U_candidates) == 0:
         raise ValueError("no candidates to aggregate")
-    for i, C in enumerate(U_candidates):
-        if C.shape != U_prev.shape:
-            raise DimensionError(f"candidate {i} has shape {C.shape}, expected {U_prev.shape}")
-    mean = U_candidates[0].copy()
-    for C in U_candidates[1:]:
-        mean += C
-    mean /= len(U_candidates)
+    if not isinstance(U_candidates, np.ndarray):
+        for i, C in enumerate(U_candidates):
+            if np.shape(C) != U_prev.shape:
+                raise DimensionError(
+                    f"candidate {i} has shape {np.shape(C)}, expected {U_prev.shape}")
+    stack = np.asarray(U_candidates, dtype=float)
+    if stack.shape[1:] != U_prev.shape:
+        raise DimensionError(
+            f"candidates have shape {stack.shape}, expected (N, {U_prev.shape[0]}, "
+            f"{U_prev.shape[1]})")
+    mean = np.add.accumulate(stack, axis=0)[-1]
+    mean /= len(stack)
     return stiefel.RETRACTIONS[retraction](U_prev, mean - U_prev)
 
 
 def _check_covs(covs):
+    """Stack the covariances as one C-contiguous (N, d, d) array, checked."""
     if len(covs) == 0:
         raise ValueError("need at least one client covariance")
-    covs = [np.asarray(S, dtype=float) for S in covs]
-    d = covs[0].shape[0]
-    for i, S in enumerate(covs):
-        if S.ndim != 2 or S.shape != (d, d):
-            raise DimensionError(f"covariance {i} has shape {S.shape}, expected ({d}, {d})")
-        if np.max(np.abs(S - S.T)) > 1e-8 * max(1.0, float(np.max(np.abs(S)))):
-            raise ValueError(f"covariance {i} is not symmetric")
-    return covs, d
+    shapes = [np.shape(S) for S in covs]
+    d = shapes[0][0]
+    for i, shape in enumerate(shapes):
+        if shape != (d, d):
+            raise DimensionError(f"covariance {i} has shape {shape}, expected ({d}, {d})")
+    stack = np.ascontiguousarray(covs, dtype=float)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"covariance {int(np.argmin(finite))} has non-finite entries")
+    asym = np.max(np.abs(stack - _mT(stack)), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    bad = np.flatnonzero(asym > 1e-8 * scale)
+    if bad.size:
+        raise ValueError(f"covariance {bad[0]} is not symmetric")
+    return stack, d
+
+
+def _rank_groups(r2_list):
+    """Client indices grouped by local rank; groups in order of first appearance."""
+    groups = {}
+    for i, r2 in enumerate(r2_list):
+        groups.setdefault(r2, []).append(i)
+    return [np.array(clients) for clients in groups.values()]
+
+
+def _each_group(groups, step, message):
+    """``[step(g) for g in range(len(groups))]``; a SingularityError names its client.
+
+    Every group runs before anything is raised, so the error names the
+    lowest-numbered failing client, as a client-by-client loop would.
+    ``message`` is formatted with that client and the slice's error.
+    """
+    out, failed = [], []
+    for g, clients in enumerate(groups):
+        try:
+            out.append(step(g))
+        except SingularityError as exc:
+            failed.append((int(clients[exc.index]), exc))
+    if failed:
+        client, exc = min(failed, key=lambda f: f[0])
+        raise SingularityError(message.format(client, exc)) from exc
+    return out
+
+
+def _client_order(groups, stacks):
+    """Per-client list of the slices of per-group stacks."""
+    out = [None] * sum(len(clients) for clients in groups)
+    for clients, stack in zip(groups, stacks):
+        for i, M in zip(clients, stack):
+            out[i] = M
+    return out
 
 
 def run_perpca(covs, config, truth=None):
@@ -219,14 +295,17 @@ def run_perpca(covs, config, truth=None):
 
     Parameters
     ----------
-    covs : list of (d, d) ndarray
-        Per-client covariance matrices, ascending client order.
+    covs : list of (d, d) ndarray, or one (N, d, d) ndarray
+        Per-client covariance matrices, ascending client order. They must
+        be symmetric and finite; a ValueError names the first client that
+        is not.
     config : SolverConfig
     truth : optional
         Ground-truth components, either a ``(U_true, V_true_list)`` pair or
         an object with ``U_true`` / ``V_true`` attributes. Only adds a
         subspace-error column to the trace (and enables early stopping);
-        never influences the iteration.
+        never influences the iteration. The error is computed only when it
+        is read: with ``record_trace`` on or ``stop_subspace_tol`` set.
 
     Returns
     -------
@@ -247,6 +326,8 @@ def run_perpca(covs, config, truth=None):
     truth_pair = None if truth is None else metrics.as_truth_pair(truth)
     if config.stop_subspace_tol is not None and truth_pair is None:
         raise ValueError("early stopping on subspace error needs ground truth")
+    track_error = truth_pair is not None and (
+        config.record_trace or config.stop_subspace_tol is not None)
 
     if config.rounds == 0:
         return state, []
@@ -257,38 +338,35 @@ def run_perpca(covs, config, truth=None):
         eta = float(config.stepsize)
 
     retraction = config.retraction
+    if config.choice == 1:
+        update, extra = client_update_choice1, (retraction,)
+    else:
+        update, extra = client_update_choice2, ()
+    groups = _rank_groups(r2_list)
+    group_covs = [covs[clients] for clients in groups]
+    U = state.U
+    V = [np.stack([state.V[i] for i in clients]) for clients in groups]
+    candidates = np.empty((len(covs), d, config.r1))
     trace = []
     for rnd in range(1, config.rounds + 1):
-        candidates = []
-        halves = []
-        for i, S in enumerate(covs):
-            try:
-                if config.choice == 1:
-                    cand, half = client_update_choice1(state.U, state.V[i], S, eta, retraction)
-                else:
-                    cand, half = client_update_choice2(state.U, state.V[i], S, eta)
-            except SingularityError as exc:
-                raise SingularityError(f"round {rnd}, client {i}: {exc}") from exc
-            candidates.append(cand)
-            halves.append(half)
+        updates = _each_group(
+            groups, lambda g: update(U, V[g], group_covs[g], eta, *extra),
+            f"round {rnd}, client {{}}: {{}}")
+        for clients, (cand, _) in zip(groups, updates):
+            candidates[clients] = cand
         try:
-            U_next = server_aggregate(candidates, state.U, retraction)
+            U_next = server_aggregate(candidates, U, retraction)
         except SingularityError as exc:
             raise SingularityError(f"round {rnd}, server aggregation: {exc}") from exc
-        V_next = []
-        for i, half in enumerate(halves):
-            try:
-                V_next.append(correction_step(half, U_next, retraction))
-            except SingularityError as exc:
-                raise SingularityError(
-                    f"round {rnd}, client {i}: local frame collapsed onto the shared frame "
-                    f"({exc})"
-                ) from exc
-        state = model.ComponentState(U_next, V_next)
+        V = _each_group(
+            groups, lambda g: correction_step(updates[g][1], U_next, retraction),
+            f"round {rnd}, client {{}}: local frame collapsed onto the shared frame ({{}})")
+        U = U_next
+        if not (track_error or config.record_trace):
+            continue
 
-        sub_err = None
-        if truth_pair is not None:
-            sub_err = metrics.subspace_error(state, truth_pair)
+        state = model.ComponentState(U, _client_order(groups, V))
+        sub_err = metrics.subspace_error(state, truth_pair) if track_error else None
         if config.record_trace:
             kkt_g, kkt_l = model.kkt_residual(state, covs)
             trace.append(
@@ -301,10 +379,6 @@ def run_perpca(covs, config, truth=None):
                     subspace_error=sub_err,
                 )
             )
-        if (
-            config.stop_subspace_tol is not None
-            and sub_err is not None
-            and sub_err < config.stop_subspace_tol
-        ):
+        if config.stop_subspace_tol is not None and sub_err < config.stop_subspace_tol:
             break
-    return state, trace
+    return model.ComponentState(U, _client_order(groups, V)), trace

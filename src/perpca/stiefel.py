@@ -2,7 +2,9 @@
 
 A *frame* is a ``(d, r)`` ndarray ``U`` with ``U.T @ U = I`` up to
 ``ORTH_TOL``. Update directions ``xi`` are arbitrary ``(d, r)`` matrices.
-All functions are pure: inputs are never mutated.
+The retractions also take a stack of frames, ``(N, d, r)``, and treat each
+slice exactly as they treat a single frame. All functions are pure: inputs
+are never mutated.
 """
 
 import numpy as np
@@ -38,10 +40,10 @@ def require_frame(U, tol=ORTH_TOL, name="frame"):
     return U
 
 
-def _check_pair(U, xi):
+def _check_pair(U, xi, stacked=False):
     U = np.asarray(U, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if U.ndim != 2 or xi.shape != U.shape:
+    if U.ndim not in ((2, 3) if stacked else (2,)) or xi.shape != U.shape:
         raise DimensionError(f"shape mismatch: frame {U.shape}, update {xi.shape}")
     return U, xi
 
@@ -63,42 +65,61 @@ def project_tangent(U, xi):
     return xi - U @ ((sym + sym.T) / 2.0)
 
 
+def _retract(U, xi, factor, margin_name, rank_tol):
+    # per slice: a zero update returns U, any other is factor(U + xi), which
+    # also gives the slice's rank margin
+    U, xi = _check_pair(U, xi, stacked=True)
+    moving = np.flatnonzero(xi.any(axis=(-2, -1)))
+    if moving.size == 0:
+        return U.copy()
+    if U.ndim == 2 or moving.size == len(U):
+        out, margin = factor(U + xi)
+    else:  # stacked input with some zero updates
+        out = U.copy()
+        out[moving], margin = factor(U[moving] + xi[moving])
+    margin = np.atleast_1d(margin)
+    bad = np.flatnonzero(margin < rank_tol)
+    if bad.size:
+        raise SingularityError(
+            f"rank-deficient update: {margin_name} {margin[bad[0]]:.3e} < {rank_tol:.1e}",
+            index=None if U.ndim == 2 else int(moving[bad[0]]),
+        )
+    return out
+
+
+def _polar_factor(A):
+    left, sing, right = np.linalg.svd(A, full_matrices=False)
+    return left @ right, sing[..., -1]
+
+
+def _qr_factor(A):
+    Q, R = np.linalg.qr(A)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    signs = np.where(diag < 0, -1.0, 1.0)
+    return Q * signs[..., None, :], np.min(np.abs(diag), axis=-1)
+
+
 def polar_retract(U, xi, rank_tol=RANK_TOL):
     """Map U + xi to the nearest frame in Frobenius norm.
 
     Computed through the thin SVD of U + xi (product of its left and right
     singular vectors), which is numerically stabler than the inverse square
     root of I + xi^T U + U^T xi + xi^T xi it is equivalent to. Preserves
-    col(U + xi). A zero update returns U unchanged.
+    col(U + xi). A zero update returns U unchanged. A stack ``(N, d, r)``
+    is retracted slice by slice in one batched SVD; a failing slice raises
+    with its position as the error's ``index``.
     """
-    U, xi = _check_pair(U, xi)
-    if not xi.any():
-        return U.copy()
-    left, sing, right = np.linalg.svd(U + xi, full_matrices=False)
-    if sing[-1] < rank_tol:
-        raise SingularityError(
-            f"rank-deficient update: smallest singular value {sing[-1]:.3e} < {rank_tol:.1e}"
-        )
-    return left @ right
+    return _retract(U, xi, _polar_factor, "smallest singular value", rank_tol)
 
 
 def qr_retract(U, xi, rank_tol=RANK_TOL):
     """Map U + xi to the Q factor of its QR decomposition.
 
     The diagonal of R is forced nonnegative so the result is unique and a
-    zero update returns U unchanged. Preserves col(U + xi).
+    zero update returns U unchanged. Preserves col(U + xi). Stacks are
+    handled as in :func:`polar_retract`.
     """
-    U, xi = _check_pair(U, xi)
-    if not xi.any():
-        return U.copy()
-    Q, R = np.linalg.qr(U + xi)
-    diag = np.diagonal(R)
-    if np.min(np.abs(diag)) < rank_tol:
-        raise SingularityError(
-            f"rank-deficient update: |R| diagonal minimum {np.min(np.abs(diag)):.3e} "
-            f"< {rank_tol:.1e}"
-        )
-    return Q * np.where(diag < 0, -1.0, 1.0)
+    return _retract(U, xi, _qr_factor, "|R| diagonal minimum", rank_tol)
 
 
 RETRACTIONS = {"polar": polar_retract, "qr": qr_retract}

@@ -330,3 +330,169 @@ class TestRunPerpca:
             solver.run_perpca(covs, config)
         except SingularityError as exc:
             assert "client" in str(exc) and "round" in str(exc)
+
+
+def _reference_run(covs, config, truth=None):
+    """Client-by-client loop that the stacked solver must match bitwise."""
+    covs = [np.asarray(S, dtype=float) for S in covs]
+    d = covs[0].shape[0]
+    r2_list = config.r2_list(len(covs))
+    if config.init == "random":
+        state = solver.init_random(d, config.r1, r2_list, config.seed)
+    else:
+        state = solver.init_distpca(covs, config.r1, r2_list, config.seed)
+    eta = solver.auto_stepsize(covs, max([config.r1] + r2_list), config.stepsize_scale)
+    retract = stiefel.RETRACTIONS[config.retraction]
+    trace = []
+    for rnd in range(1, config.rounds + 1):
+        candidates, halves = [], []
+        for i, S in enumerate(covs):
+            if config.choice == 1:
+                cand, half = solver.client_update_choice1(
+                    state.U, state.V[i], S, eta, config.retraction)
+            else:
+                cand, half = solver.client_update_choice2(state.U, state.V[i], S, eta)
+            candidates.append(cand)
+            halves.append(half)
+        mean = candidates[0].copy()
+        for C in candidates[1:]:
+            mean += C
+        mean /= len(candidates)
+        U_next = retract(state.U, mean - state.U)
+        V_next = [solver.correction_step(h, U_next, config.retraction) for h in halves]
+        state = model.ComponentState(U_next, V_next)
+        kkt_g, kkt_l = model.kkt_residual(state, covs)
+        trace.append(solver.RoundTrace(
+            round=rnd, objective=model.objective(state, covs), kkt_global=kkt_g,
+            kkt_local=kkt_l, recon_error_mean=model.mean_reconstruction_error(state, covs),
+            subspace_error=metrics.subspace_error(state, truth),
+        ))
+    return state, trace
+
+
+class TestStackedClients:
+    @pytest.mark.parametrize("init", ["random", "distpca"])
+    @pytest.mark.parametrize("r2", [3, [1, 3, 2, 3]])
+    @pytest.mark.parametrize("retraction", ["polar", "qr"])
+    @pytest.mark.parametrize("choice", [1, 2])
+    def test_matches_client_loop_bitwise(self, choice, retraction, r2, init):
+        spec = synth.GenerativeSpec(d=9, N=4, r1=2, r2=3, n_per_client=80,
+                                    noise_std=0.3, seed=3)
+        truth = synth.generate_components(spec)
+        covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
+        config = solver.SolverConfig(r1=2, r2=r2, rounds=30, choice=choice,
+                                     retraction=retraction, init=init, seed=4)
+        state, trace = solver.run_perpca(covs, config, truth=truth)
+        ref_state, ref_trace = _reference_run(covs, config, truth)
+        assert np.array_equal(state.U, ref_state.U)
+        assert len(state.V) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(state.V, ref_state.V))
+        assert trace == ref_trace
+
+    def test_stacked_retractions_match_slices(self):
+        rng = _rng(20)
+        U = np.stack([stiefel.random_frame(6, 2, rng) for _ in range(5)])
+        xi = 0.3 * rng.standard_normal(U.shape)
+        xi[3] = 0.0  # zero update: slice passes through unchanged
+        for retract in stiefel.RETRACTIONS.values():
+            out = retract(U, xi)
+            for k in range(5):
+                assert np.array_equal(out[k], retract(U[k], xi[k]))
+            assert np.array_equal(out[3], U[3])
+
+    @pytest.mark.parametrize("retract", [stiefel.polar_retract, stiefel.qr_retract])
+    def test_stacked_singularity_names_first_slice(self, retract):
+        U = np.stack([np.eye(3)[:, :2]] * 4)
+        xi = np.zeros_like(U)
+        xi[1:, :, 1] = U[1:, :, 0] - U[1:, :, 1]  # slices 1-3 lose a column
+        with pytest.raises(SingularityError) as info:
+            retract(U, xi)
+        assert info.value.index == 1
+        with pytest.raises(SingularityError) as info:
+            retract(U[0], U[0] * -1.0)
+        assert info.value.index is None
+
+    def test_stacked_correction_step(self):
+        rng = _rng(21)
+        U_new = np.eye(7)[:, :2]
+        halves = np.stack([stiefel.random_frame(7, 3, rng) for _ in range(3)])
+        halves[1] = np.eye(7)[:, 2:5]  # exactly orthogonal: passes through
+        out = solver.correction_step(halves, U_new)
+        for k in range(3):
+            assert np.array_equal(out[k], solver.correction_step(halves[k], U_new))
+        assert np.array_equal(out[1], halves[1])
+
+    def test_server_sum_is_ascending_client_order(self):
+        # candidates spanning twelve orders of magnitude, so that summing in
+        # another order changes the last bits of the mean and of the frame
+        rng = _rng(22)
+        U_prev = stiefel.random_frame(5, 2, rng)
+        scales = 10.0 ** np.linspace(-6, 6, 9)
+        cands = U_prev + scales[:, None, None] * rng.standard_normal((9, 5, 2))
+
+        def sequential(order):
+            mean = cands[order[0]].copy()
+            for k in order[1:]:
+                mean += cands[k]
+            mean /= len(order)
+            return stiefel.polar_retract(U_prev, mean - U_prev)
+
+        ascending = sequential(range(9))
+        assert not np.array_equal(ascending, sequential(range(8, -1, -1)))
+        assert np.array_equal(solver.server_aggregate(cands, U_prev), ascending)
+        assert np.array_equal(solver.server_aggregate(list(cands), U_prev), ascending)
+
+    @pytest.mark.parametrize("r2", [1, [1, 2, 2, 1]])
+    def test_singularity_names_first_failing_client(self, r2):
+        # a "covariance" of -I / eta makes [U, V] + eta S [U, V] exactly zero;
+        # with mixed ranks client 3 sits in the first rank group and client 2
+        # in the second, and the error must still name client 2
+        eta = 0.1
+        healthy = np.diag([3.0, 2.0, 1.0, 0.5, 0.2])
+        covs = [healthy, healthy, -np.eye(5) / eta, healthy]
+        if r2 != 1:
+            covs[3] = covs[2]
+        config = solver.SolverConfig(r1=2, r2=r2, rounds=5, choice=2, init="random",
+                                     stepsize=eta)
+        with pytest.raises(SingularityError, match=r"^round 1, client 2: "):
+            solver.run_perpca(covs, config)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariance_names_client(self, bad):
+        rng = _rng(23)
+        covs = [_psd(5, rng) for _ in range(3)]
+        covs[1][2, 3] = covs[1][3, 2] = bad
+        config = solver.SolverConfig(r1=1, r2=1, rounds=3)
+        with pytest.raises(ValueError, match="covariance 1 has non-finite entries"):
+            solver.run_perpca(covs, config)
+
+    def test_asymmetric_covariance_names_client(self):
+        rng = _rng(24)
+        covs = [_psd(4, rng) for _ in range(3)]
+        covs[2][0, 1] += 1e-3
+        with pytest.raises(ValueError, match="covariance 2 is not symmetric"):
+            solver.run_perpca(covs, solver.SolverConfig(r1=1, r2=1, rounds=3))
+
+    def test_unread_subspace_error_is_not_computed(self, monkeypatch):
+        spec = synth.GenerativeSpec(d=8, N=3, r1=1, r2=2, n_per_client=50, seed=6)
+        truth = synth.generate_components(spec)
+        covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
+        calls = []
+        original = metrics.subspace_error
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "subspace_error", counting)
+        config = solver.SolverConfig(r1=1, r2=2, rounds=20, seed=6, record_trace=False)
+        with_truth, _ = solver.run_perpca(covs, config, truth=truth)
+        assert calls == []
+        without, _ = solver.run_perpca(covs, config)
+        assert np.array_equal(with_truth.U, without.U)
+        assert all(np.array_equal(a, b) for a, b in zip(with_truth.V, without.V))
+        traced = solver.SolverConfig(r1=1, r2=2, rounds=20, seed=6)
+        solver.run_perpca(covs, traced, truth=truth)
+        assert len(calls) == 20
