@@ -101,12 +101,15 @@ FIT_DEFAULTS = dict(
 )
 
 
-def _load_inputs(paths, opt):
+def _load_datasets(paths, opt):
     data_paths = fileio.resolve_data_paths(paths)
-    datasets = fileio.load_datasets(data_paths, header=opt["header"],
-                                    center=opt["center"])
-    covs = [model.covariance(Y) for Y in datasets]
-    return data_paths, datasets, covs
+    return data_paths, fileio.load_datasets(data_paths, header=opt["header"],
+                                            center=opt["center"])
+
+
+def _load_inputs(paths, opt):
+    data_paths, datasets = _load_datasets(paths, opt)
+    return data_paths, datasets, [model.covariance(Y) for Y in datasets]
 
 
 def cmd_fit(args):
@@ -210,7 +213,7 @@ EVAL_DEFAULTS = dict(
 
 def cmd_eval(args):
     opt = _merged(args, EVAL_DEFAULTS)
-    data_paths, datasets, covs = _load_inputs(args.data, opt)
+    _, datasets = _load_datasets(args.data, opt)
     U, V = fileio.load_components(opt["components"])
     per_client = []
     for i, Y in enumerate(datasets):

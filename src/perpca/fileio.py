@@ -37,6 +37,11 @@ def save_matrix(path, M, fmt="csv", header=None):
 
 
 def load_matrix(path, fmt=None, header=False):
+    """Read a matrix file; a ValueError names the file when it is malformed.
+
+    A ``.mat64`` payload must hold exactly the rows x cols values its header
+    announces, and every value, in either format, must be finite.
+    """
     path = Path(path)
     if fmt is None:
         fmt = "bin" if path.suffix == ".mat64" else "csv"
@@ -44,10 +49,18 @@ def load_matrix(path, fmt=None, header=False):
         M = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
     elif fmt == "bin":
         raw = path.read_bytes()
-        rows, cols = np.frombuffer(raw[:16], dtype="<u8")
-        M = np.frombuffer(raw[16:], dtype="<f8").reshape(int(rows), int(cols)).copy()
+        if len(raw) < 16:
+            raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 16-byte header")
+        rows, cols = (int(n) for n in np.frombuffer(raw[:16], dtype="<u8"))
+        if len(raw) - 16 != 8 * rows * cols:
+            raise ValueError(f"{path}: header announces {rows} x {cols} values "
+                             f"({8 * rows * cols} bytes), payload has {len(raw) - 16} bytes")
+        M = np.frombuffer(raw[16:], dtype="<f8").reshape(rows, cols).copy()
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    if not np.isfinite(M).all():
+        row, col = np.argwhere(~np.isfinite(M))[0]
+        raise ValueError(f"{path}: non-finite value {M[row, col]} in row {row}, column {col}")
     return M
 
 

@@ -6,7 +6,7 @@ eigenvalue bound and the direct-sum bracketing inequalities.
 
 import numpy as np
 
-from . import stiefel
+from . import stacks, stiefel
 from .errors import DimensionError, InvariantError
 from .rng import substream
 
@@ -22,14 +22,24 @@ def as_truth_pair(truth):
 def subspace_error(state, truth):
     """||P_U - P_U*||_F^2 plus the client average of ||P_Vi - P_Vi*||_F^2.
 
-    Zero iff every estimated subspace matches its planted counterpart.
+    Zero iff every estimated subspace matches its planted counterpart. The
+    local distances of clients whose frame pairs have equal shapes are
+    computed in one stacked call.
     """
     U_true, V_true = as_truth_pair(truth)
     if len(V_true) != state.n_clients:
         raise DimensionError(f"{len(V_true)} true local frames for {state.n_clients} clients")
     err = stiefel.subspace_distance(state.U, U_true)
-    local = [stiefel.subspace_distance(Vi, Wi) for Vi, Wi in zip(state.V, V_true)]
-    return err + float(np.mean(local))
+    shapes = [(np.shape(Vi), np.shape(Wi)) for Vi, Wi in zip(state.V, V_true)]
+    if any(len(a) != 2 or len(b) != 2 for a, b in shapes):
+        raise DimensionError("local frames must be 2-d")
+    groups = stacks.rank_groups(shapes)
+    local = [
+        stiefel.subspace_distance(V, W)
+        for V, W in zip(stacks.group_stacks(groups, state.V),
+                        stacks.group_stacks(groups, V_true))
+    ]
+    return err + float(np.mean(stacks.client_stack(groups, local)))
 
 
 def rho_matrix(V_list):

@@ -10,10 +10,11 @@ are deterministic.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import stiefel
+from . import stacks, stiefel
 from .errors import DimensionError, InvariantError
 
 CROSS_TOL = 1e-8
@@ -82,9 +83,65 @@ def _require_covs(state, covs):
             raise DimensionError(f"covariance {i} has shape {S.shape}, expected ({d}, {d})")
 
 
-def _captured(F, S):
-    # tr(F^T S F) without forming the d x d projector
-    return float(np.sum(F * (S @ F)))
+class Diagnostics(NamedTuple):
+    """Per-round stationarity and fit quantities of a feasible state."""
+
+    objective: float
+    kkt_global: float
+    kkt_local: float
+    recon_error_mean: float
+
+
+def _sequential_sum(values):
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def diagnostics(U, V, covs, groups):
+    """Objective, KKT residuals and mean reconstruction error in one pass.
+
+    ``groups`` lists the clients of each local-rank group (see
+    :mod:`perpca.stacks`); ``V[g]`` is the ``(n_g, d, r2)`` stack of their
+    local frames and ``covs[g]`` the ``(n_g, d, d)`` stack of their
+    covariances. ``S_i U`` and ``S_i V_i`` are formed once per client and
+    feed every quantity. Reductions over clients run in ascending client
+    order: the objective and ``kkt_local`` as sequential sums, the
+    ``kkt_global`` sum as a running sum, the reconstruction errors through
+    ``np.mean``; so the result equals a client-by-client loop bitwise.
+    """
+    parts = []
+    for S, Vg in zip(covs, V):
+        SU = S @ U
+        SV = S @ Vg
+        Vt = np.swapaxes(Vg, -1, -2)
+        global_terms = SU - U @ (U.T @ SU) - Vg @ (Vt @ SU)
+        local_terms = SV - U @ (U.T @ SV) - Vg @ (Vt @ SV)
+        parts.append((
+            np.sum(U * SU, axis=(1, 2)),
+            np.sum(Vg * SV, axis=(1, 2)),
+            np.trace(S, axis1=1, axis2=2),
+            global_terms,
+            np.sum(local_terms * local_terms, axis=(1, 2)),
+        ))
+    captured_u, captured_v, traces, global_terms, local_res = (
+        stacks.client_stack(groups, column) for column in zip(*parts))
+    global_sum = np.add.accumulate(global_terms, axis=0)[-1]
+    return Diagnostics(
+        objective=_sequential_sum(0.5 * (captured_u + captured_v)),
+        kkt_global=float(np.sum(global_sum * global_sum)),
+        kkt_local=_sequential_sum(local_res),
+        recon_error_mean=float(np.mean(traces - captured_u - captured_v)),
+    )
+
+
+def _diagnostics_of(state, covs):
+    _require_covs(state, covs)
+    groups = stacks.rank_groups(state.r2)
+    covs = np.asarray(covs, dtype=float)
+    return diagnostics(np.asarray(state.U, dtype=float), stacks.group_stacks(groups, state.V),
+                       [covs[clients] for clients in groups], groups)
 
 
 def objective(state, covs):
@@ -93,11 +150,7 @@ def objective(state, covs):
     Depends on the frames only through their column spaces; nonnegative for
     PSD covariances.
     """
-    _require_covs(state, covs)
-    total = 0.0
-    for S, Vi in zip(covs, state.V):
-        total += 0.5 * (_captured(state.U, S) + _captured(Vi, S))
-    return total
+    return _diagnostics_of(state, covs).objective
 
 
 def reconstruction_error(Y, U, V=None, cross_tol=CROSS_TOL):
@@ -131,12 +184,7 @@ def mean_reconstruction_error(state, covs):
     Identical to the raw-data reconstruction error, but computable from the
     covariances alone.
     """
-    _require_covs(state, covs)
-    errs = [
-        float(np.trace(S)) - _captured(state.U, S) - _captured(Vi, S)
-        for S, Vi in zip(covs, state.V)
-    ]
-    return float(np.mean(errs))
+    return _diagnostics_of(state, covs).recon_error_mean
 
 
 def kkt_residual(state, covs):
@@ -147,14 +195,5 @@ def kkt_residual(state, covs):
     local_res  = sum_i ||(I - P_U - P_Vi) S_i V_i||_F^2.
     Both vanish exactly at stationary points of the objective.
     """
-    _require_covs(state, covs)
-    U = state.U
-    global_sum = np.zeros_like(U)
-    local_res = 0.0
-    for S, Vi in zip(covs, state.V):
-        SU = S @ U
-        global_sum += SU - U @ (U.T @ SU) - Vi @ (Vi.T @ SU)
-        SV = S @ Vi
-        res_v = SV - U @ (U.T @ SV) - Vi @ (Vi.T @ SV)
-        local_res += float(np.sum(res_v * res_v))
-    return float(np.sum(global_sum * global_sum)), local_res
+    diag = _diagnostics_of(state, covs)
+    return diag.kkt_global, diag.kkt_local

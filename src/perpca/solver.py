@@ -17,6 +17,14 @@ client-by-client loop. Candidates go back into client order before the
 server sums them as a running sum in ascending client order, so a run is
 bitwise reproducible given (config, inputs). A singular retraction is
 reported with the round and the lowest-numbered failing client.
+
+The per-round trace is computed from the same stacks: one
+:func:`model.diagnostics` pass forms ``S_i U`` and ``S_i V_i`` once per
+client and derives the objective, both KKT residuals and the mean
+reconstruction error from them, and the subspace error takes one stacked
+distance call per rank group. The ``"auto"`` stepsize runs the clients'
+power iterations as one stack. Each of these reduces over clients in
+ascending client order and equals a client-by-client loop bitwise.
 """
 
 from dataclasses import dataclass
@@ -24,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import baselines, metrics, model, stiefel
+from . import baselines, metrics, model, stacks, stiefel
 from .errors import DimensionError, SingularityError
 from .rng import substream
 
@@ -81,37 +89,55 @@ class RoundTrace:
 
 
 def operator_norm(S, rel_tol=1e-6, max_iter=10000):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
+    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+
+    A stack ``(N, d, d)`` gives the ``(N,)`` array of per-slice values. The
+    slices iterate together, but each stops at its own tolerance and takes
+    its own null-space fallback, so every value equals that of the slice
+    on its own.
+    """
     S = np.asarray(S, dtype=float)
-    d = S.shape[0]
-    v = 1.0 + 1e-3 * np.arange(d)  # deterministic start, unlikely to miss the top space
-    v /= np.linalg.norm(v)
-    lam = 0.0
+    if S.ndim == 2:
+        return float(operator_norm(S[None], rel_tol, max_iter)[0])
+    n, d = S.shape[:2]
+    start = 1.0 + 1e-3 * np.arange(d)  # deterministic start, unlikely to miss the top space
+    start /= np.linalg.norm(start)
+    out = np.zeros(n)
+    active = np.arange(n)  # slices still iterating, ascending
+    S_active = S
+    v = np.tile(start, (n, 1))
+    lam = np.zeros(n)
     for _ in range(max_iter):
-        w = S @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
+        w = (S_active @ v[..., None])[..., 0]
+        norm = np.sqrt((w[:, None, :] @ w[..., None])[:, 0, 0])
+        stepped = norm != 0.0
+        finished = np.zeros(len(active), dtype=bool)
+        for j in np.flatnonzero(~stepped):
             # start vector hit the null space; a PSD matrix with a nonzero
             # diagonal entry cannot annihilate that basis vector
-            k = int(np.argmax(np.diagonal(S)))
-            if S[k, k] <= 0.0:
-                return 0.0
-            v = np.zeros(d)
-            v[k] = 1.0
-            continue
-        v = w / norm
-        lam_new = float(v @ (S @ v))
-        if abs(lam_new - lam) <= rel_tol * abs(lam_new):
-            return lam_new
-        lam = lam_new
-    return lam
+            k = int(np.argmax(np.diagonal(S_active[j])))
+            finished[j] = S_active[j, k, k] <= 0.0
+            v[j] = 0.0
+            v[j, k] = 1.0
+        v[stepped] = w[stepped] / norm[stepped, None]
+        lam_new = (v[:, None, :] @ (S_active @ v[..., None]))[:, 0, 0]
+        converged = stepped & (np.abs(lam_new - lam) <= rel_tol * np.abs(lam_new))
+        out[active[converged]] = lam_new[converged]
+        lam[stepped] = lam_new[stepped]
+        keep = ~(converged | finished)
+        if not keep.all():
+            active, S_active, v, lam = active[keep], S_active[keep], v[keep], lam[keep]
+            if not active.size:
+                return out
+    out[active] = lam
+    return out
 
 
 def auto_stepsize(covs, r, scale=0.5):
     """Constant stepsize scale / (G_max * sqrt(r)), G_max the largest operator norm."""
     if len(covs) == 0:
         raise ValueError("need at least one covariance")
-    g_max = max(operator_norm(S) for S in covs)
+    g_max = float(np.max(operator_norm(np.asarray(covs, dtype=float))))
     if g_max <= 0.0:
         raise ValueError("all covariances are zero; no scale to derive a stepsize from")
     return scale / (g_max * np.sqrt(r))
@@ -254,14 +280,6 @@ def _check_covs(covs):
     return stack, d
 
 
-def _rank_groups(r2_list):
-    """Client indices grouped by local rank; groups in order of first appearance."""
-    groups = {}
-    for i, r2 in enumerate(r2_list):
-        groups.setdefault(r2, []).append(i)
-    return [np.array(clients) for clients in groups.values()]
-
-
 def _each_group(groups, step, message):
     """``[step(g) for g in range(len(groups))]``; a SingularityError names its client.
 
@@ -278,15 +296,6 @@ def _each_group(groups, step, message):
     if failed:
         client, exc = min(failed, key=lambda f: f[0])
         raise SingularityError(message.format(client, exc)) from exc
-    return out
-
-
-def _client_order(groups, stacks):
-    """Per-client list of the slices of per-group stacks."""
-    out = [None] * sum(len(clients) for clients in groups)
-    for clients, stack in zip(groups, stacks):
-        for i, M in zip(clients, stack):
-            out[i] = M
     return out
 
 
@@ -342,10 +351,10 @@ def run_perpca(covs, config, truth=None):
         update, extra = client_update_choice1, (retraction,)
     else:
         update, extra = client_update_choice2, ()
-    groups = _rank_groups(r2_list)
+    groups = stacks.rank_groups(r2_list)
     group_covs = [covs[clients] for clients in groups]
     U = state.U
-    V = [np.stack([state.V[i] for i in clients]) for clients in groups]
+    V = stacks.group_stacks(groups, state.V)
     candidates = np.empty((len(covs), d, config.r1))
     trace = []
     for rnd in range(1, config.rounds + 1):
@@ -362,23 +371,13 @@ def run_perpca(covs, config, truth=None):
             groups, lambda g: correction_step(updates[g][1], U_next, retraction),
             f"round {rnd}, client {{}}: local frame collapsed onto the shared frame ({{}})")
         U = U_next
-        if not (track_error or config.record_trace):
-            continue
-
-        state = model.ComponentState(U, _client_order(groups, V))
-        sub_err = metrics.subspace_error(state, truth_pair) if track_error else None
+        sub_err = None
+        if track_error:
+            state = model.ComponentState(U, stacks.client_order(groups, V))
+            sub_err = metrics.subspace_error(state, truth_pair)
         if config.record_trace:
-            kkt_g, kkt_l = model.kkt_residual(state, covs)
-            trace.append(
-                RoundTrace(
-                    round=rnd,
-                    objective=model.objective(state, covs),
-                    kkt_global=kkt_g,
-                    kkt_local=kkt_l,
-                    recon_error_mean=model.mean_reconstruction_error(state, covs),
-                    subspace_error=sub_err,
-                )
-            )
+            diag = model.diagnostics(U, V, group_covs, groups)
+            trace.append(RoundTrace(round=rnd, subspace_error=sub_err, **diag._asdict()))
         if config.stop_subspace_tol is not None and sub_err < config.stop_subspace_tol:
             break
-    return model.ComponentState(U, _client_order(groups, V)), trace
+    return model.ComponentState(U, stacks.client_order(groups, V)), trace

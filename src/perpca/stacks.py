@@ -1,0 +1,45 @@
+"""Clients grouped by local rank, so that each group's frames stack.
+
+Local frames of equal rank stack into one ``(n_g, d, r2)`` array and their
+covariances into one ``(n_g, d, d)`` array, so per-client work becomes one
+stacked operation per group. A group is the ascending array of the client
+indices it holds; groups are listed in order of first appearance. The
+helpers below put per-group results back into client order.
+"""
+
+import numpy as np
+
+
+def rank_groups(ranks):
+    """Client indices grouped by equal key; groups in order of first appearance.
+
+    ``ranks`` holds one hashable key per client, usually its local rank.
+    """
+    groups = {}
+    for i, key in enumerate(ranks):
+        groups.setdefault(key, []).append(i)
+    return [np.array(clients) for clients in groups.values()]
+
+
+def client_order(groups, stacks):
+    """Per-client list of the slices of per-group stacks."""
+    out = [None] * sum(len(clients) for clients in groups)
+    for clients, stack in zip(groups, stacks):
+        for i, M in zip(clients, stack):
+            out[i] = M
+    return out
+
+
+def client_stack(groups, stacks):
+    """One array in client order from per-group arrays of equal trailing shape."""
+    if len(groups) == 1:
+        return stacks[0]
+    out = np.empty((sum(len(clients) for clients in groups),) + stacks[0].shape[1:])
+    for clients, stack in zip(groups, stacks):
+        out[clients] = stack
+    return out
+
+
+def group_stacks(groups, frames):
+    """One ``(n_g, ...)`` stack per group from a per-client sequence of arrays."""
+    return [np.stack([frames[i] for i in clients]) for clients in groups]

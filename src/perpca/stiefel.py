@@ -138,14 +138,17 @@ def subspace_distance(A, B):
     explicit projector difference, which stays accurate down to ~1e-30 for
     nearly equal subspaces where the Gram identity cancels catastrophically.
     Zero iff col(A) = col(B). Both inputs must be orthonormal frames with
-    the same number of rows.
+    the same number of rows. Stacks ``(N, d, r)`` and ``(N, d, s)`` give
+    the ``(N,)`` array of slice-by-slice distances, each equal to the
+    distance of the two slices.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
+    if A.ndim not in (2, 3) or B.ndim != A.ndim or A.shape[:-1] != B.shape[:-1]:
         raise DimensionError(f"frames need equal ambient dimension: {A.shape}, {B.shape}")
-    diff = A @ A.T - B @ B.T
-    return float(np.sum(diff * diff))
+    diff = A @ np.swapaxes(A, -1, -2) - B @ np.swapaxes(B, -1, -2)
+    dist = np.sum(diff * diff, axis=(-2, -1))
+    return float(dist) if A.ndim == 2 else dist
 
 
 def random_frame(d, r, rng):

@@ -39,6 +39,41 @@ class TestMatrixRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestMalformedFiles:
+    @pytest.mark.parametrize("cut", [4, 8])
+    def test_truncated_mat64_payload_names_file(self, tmp_path, cut):
+        path = fileio.save_matrix(tmp_path / "m.mat64", np.ones((3, 2)), fmt="bin")
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=r"m\.mat64: header announces 3 x 2 values"):
+            fileio.load_matrix(path)
+
+    def test_mat64_header_larger_than_payload_names_file(self, tmp_path):
+        path = tmp_path / "m.mat64"
+        path.write_bytes(np.array([4, 4], dtype="<u8").tobytes() + np.ones(3).tobytes())
+        with pytest.raises(ValueError, match=r"m\.mat64: header announces 4 x 4 values"):
+            fileio.load_matrix(path)
+
+    def test_short_mat64_header_names_file(self, tmp_path):
+        path = tmp_path / "m.mat64"
+        path.write_bytes(b"\x03" * 10)
+        with pytest.raises(ValueError, match=r"m\.mat64: 10 bytes, shorter than"):
+            fileio.load_matrix(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_cell_names_file(self, tmp_path, bad):
+        path = tmp_path / "client_0.csv"
+        path.write_text(f"1.0,2.0\n3.0,{bad}\n")
+        with pytest.raises(ValueError, match=r"client_0\.csv: non-finite value .* row 1, column 1"):
+            fileio.load_matrix(path)
+
+    def test_non_finite_mat64_value_names_file(self, tmp_path):
+        M = np.ones((2, 3))
+        M[0, 2] = np.inf
+        path = fileio.save_matrix(tmp_path / "m.mat64", M, fmt="bin")
+        with pytest.raises(ValueError, match=r"m\.mat64: non-finite value inf in row 0, column 2"):
+            fileio.load_matrix(path)
+
+
 class TestDatasets:
     def test_save_load_transposes(self, tmp_path):
         Ys = [_rng().standard_normal((4, 9)), _rng().standard_normal((4, 5))]

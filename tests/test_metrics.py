@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loops as ref
 from perpca import metrics, model, stiefel, synth
 from perpca.errors import DimensionError, InvariantError
 from perpca.model import ComponentState
@@ -34,6 +35,17 @@ class TestSubspaceError:
         state = ComponentState(eye[:, :2], [eye[:, 4:5]])
         truth = (eye[:, 2:4], [eye[:, 4:5]])
         assert metrics.subspace_error(state, truth) == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r2, r2_true", [([3] * 5, [3] * 5),
+                                             ([1, 3, 2, 3, 1], [1, 3, 2, 3, 1]),
+                                             ([2, 2, 1, 2, 1], [2, 1, 1, 2, 2])])
+    def test_matches_client_loop_bitwise(self, r2, r2_true):
+        rng = _rng(3)
+        U = stiefel.random_frame(40, 2, rng)
+        state = ComponentState(U, [stiefel.random_frame(40, r, rng) for r in r2])
+        truth = (stiefel.random_frame(40, 2, rng),
+                 [stiefel.random_frame(40, r, rng) for r in r2_true])
+        assert metrics.subspace_error(state, truth) == ref.subspace_error(state, truth)
 
     def test_rotation_invariance(self):
         rng = _rng(2)

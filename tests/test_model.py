@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from perpca import model, stiefel
+import reference_loops as ref
+from perpca import model, stacks, stiefel
 from perpca.errors import DimensionError, InvariantError
 
 
@@ -136,6 +137,52 @@ class TestKktResidual:
         assert model.kkt_residual(rotated, covs) == pytest.approx(
             model.kkt_residual(state, covs), abs=1e-10
         )
+
+
+class TestFusedDiagnostics:
+    @pytest.mark.parametrize("d, r1, r2", [(6, 2, [2] * 3), (30, 3, [5, 3, 4, 5] * 3),
+                                           (50, 3, [5] * 20)])
+    def test_matches_client_loops_bitwise(self, d, r1, r2):
+        rng = _rng(14)
+        U = stiefel.random_frame(d, r1, rng)
+        V = []
+        for r in r2:
+            raw = rng.standard_normal((d, r))
+            V.append(stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw)))
+        state = model.ComponentState(U, V)
+        covs = [_random_cov(d, rng) * 10.0 ** (i % 5 - 2) for i in range(len(r2))]
+        expected = ref.diagnostics(state, covs)
+        groups = stacks.rank_groups(r2)
+        stack = np.stack(covs)
+        fused = model.diagnostics(U, stacks.group_stacks(groups, V),
+                                  [stack[clients] for clients in groups], groups)
+        assert fused == expected
+        assert model.objective(state, covs) == expected.objective
+        assert model.kkt_residual(state, covs) == (expected.kkt_global, expected.kkt_local)
+        assert model.mean_reconstruction_error(state, covs) == expected.recon_error_mean
+
+    def test_kkt_global_sums_in_ascending_client_order(self):
+        # per-client terms spanning twelve orders of magnitude, so that the
+        # reversed sum differs in the last bits
+        rng = _rng(15)
+        d, n = 6, 9
+        state = _random_state(d, 2, 1, n, rng)
+        U = state.U
+        covs = [_random_cov(d, rng) * 10.0 ** (12 * k / (n - 1) - 6) for k in range(n)]
+        terms = []
+        for S, Vi in zip(covs, state.V):
+            SU = S @ U
+            terms.append(SU - U @ (U.T @ SU) - Vi @ (Vi.T @ SU))
+
+        def sequential(order):
+            total = np.zeros_like(U)
+            for k in order:
+                total += terms[k]
+            return float(np.sum(total * total))
+
+        ascending = sequential(range(n))
+        assert ascending != sequential(range(n - 1, -1, -1))
+        assert model.kkt_residual(state, covs)[0] == ascending
 
 
 def test_total_variance_split():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from perpca import baselines, metrics, model, solver, stiefel, synth
 from perpca.errors import SingularityError
 
@@ -160,6 +161,24 @@ class TestAutoStepsize:
         u /= np.linalg.norm(u)
         S = 2.5 * np.outer(u, u)
         assert solver.operator_norm(S) == pytest.approx(2.5, rel=1e-5)
+
+    def test_stacked_power_iteration_matches_slices_bitwise(self):
+        # slices that stop after different numbers of steps, one whose start
+        # vector lies in its null space, and a zero matrix
+        rng = _rng(25)
+        d = 6
+        start = 1.0 + 1e-3 * np.arange(d)
+        u = np.zeros(d)
+        u[0], u[1] = start[1], -start[0]
+        u /= np.linalg.norm(u)
+        covs = np.stack([_psd(d, rng, 3.0), 2.5 * np.outer(u, u), _psd(d, rng, 1e-3),
+                         np.zeros((d, d)), np.diag([1.0, 0.999, 0.5, 0.1, 0.0, 0.0]),
+                         _psd(d, rng)])
+        stacked = solver.operator_norm(covs)
+        loop = np.array([ref.operator_norm(S) for S in covs])
+        assert np.array_equal(stacked, loop)
+        assert stacked[3] == 0.0 and stacked[1] == pytest.approx(2.5, rel=1e-5)
+        assert all(solver.operator_norm(S) == x for S, x in zip(covs, loop))
 
 
 class TestInit:
@@ -321,15 +340,14 @@ class TestRunPerpca:
         assert trace[-1].subspace_error < 1e-8
 
     def test_singularity_reports_context(self):
-        # one client's covariance forces the local frame onto the shared one
-        covs = [np.diag([1.0, 1.0, 0.0])]
-        config = solver.SolverConfig(
-            r1=2, r2=1, rounds=500, seed=0, init="random", stepsize=0.45
-        )
-        try:
-            solver.run_perpca(covs, config)
-        except SingularityError as exc:
-            assert "client" in str(exc) and "round" in str(exc)
+        # a "covariance" of -I / eta sends the joint step [U, V] + eta S [U, V]
+        # of the only client to zero, so its retraction collapses in round 1
+        eta = 0.25
+        config = solver.SolverConfig(r1=2, r2=1, rounds=5, choice=2, init="random",
+                                     stepsize=eta)
+        with pytest.raises(SingularityError,
+                           match=r"^round 1, client 0: rank-deficient update"):
+            solver.run_perpca([-np.eye(4) / eta], config)
 
 
 def _reference_run(covs, config, truth=None):
@@ -341,7 +359,8 @@ def _reference_run(covs, config, truth=None):
         state = solver.init_random(d, config.r1, r2_list, config.seed)
     else:
         state = solver.init_distpca(covs, config.r1, r2_list, config.seed)
-    eta = solver.auto_stepsize(covs, max([config.r1] + r2_list), config.stepsize_scale)
+    g_max = max(ref.operator_norm(S) for S in covs)
+    eta = config.stepsize_scale / (g_max * np.sqrt(max([config.r1] + r2_list)))
     retract = stiefel.RETRACTIONS[config.retraction]
     trace = []
     for rnd in range(1, config.rounds + 1):
@@ -361,12 +380,8 @@ def _reference_run(covs, config, truth=None):
         U_next = retract(state.U, mean - state.U)
         V_next = [solver.correction_step(h, U_next, config.retraction) for h in halves]
         state = model.ComponentState(U_next, V_next)
-        kkt_g, kkt_l = model.kkt_residual(state, covs)
-        trace.append(solver.RoundTrace(
-            round=rnd, objective=model.objective(state, covs), kkt_global=kkt_g,
-            kkt_local=kkt_l, recon_error_mean=model.mean_reconstruction_error(state, covs),
-            subspace_error=metrics.subspace_error(state, truth),
-        ))
+        trace.append(solver.RoundTrace(rnd, *ref.diagnostics(state, covs),
+                                       subspace_error=ref.subspace_error(state, truth)))
     return state, trace
 
 
