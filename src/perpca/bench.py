@@ -9,7 +9,7 @@ noise scales are exposed for experimentation.
 
 import numpy as np
 
-from . import baselines, metrics, model, solver, synth
+from . import baselines, metrics, model, solver, stiefel, synth
 
 SCENARIOS = {}
 
@@ -152,9 +152,7 @@ def error_vs_N(repeats=3, seed0=0, Ns=(10, 30, 100), d=15, n=2000, r1=2, r2=3,
                                          record_trace=False)
             state, _ = solver.run_perpca(covs, config, truth=truth)
             avg_err.append(metrics.subspace_error(state, truth))
-            from .stiefel import subspace_distance
-
-            shared_err.append(subspace_distance(state.U, truth.U_true))
+            shared_err.append(stiefel.subspace_distance(state.U, truth.U_true))
         rows.append(_row("error-vs-N", "perpca", "subspace_error", avg_err,
                          n=n, d=d, N=N, r1=r1, r2=r2))
         rows.append(_row("error-vs-N", "perpca", "shared_subspace_error", shared_err,

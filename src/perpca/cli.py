@@ -141,6 +141,9 @@ def cmd_fit(args):
             "recon_error_mean": trace[-1].recon_error_mean,
             "subspace_error": trace[-1].subspace_error,
             "rounds_run": trace[-1].round,
+            # rounds whose objective fell below the previous round's, beyond rounding
+            "objective_decreases": sum(b.objective < a.objective - 1e-12
+                                       for a, b in zip(trace, trace[1:])),
         }
     manifest = fileio.write_manifest(
         out, "fit", _public_flags(opt), inputs=data_paths, outputs=outputs,

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from . import stiefel
-from .model import ComponentState
 from .rng import substream
 
 
@@ -81,9 +80,6 @@ class PlantedTruth:
     eigengap: float
     groups: Optional[List[int]] = None
 
-    def as_state(self):
-        return ComponentState(self.U_true, list(self.V_true))
-
 
 def theta_of(V_list):
     """Heterogeneity constant 1 - lambda_max of the averaged local projectors.
@@ -102,38 +98,10 @@ def theta_of(V_list):
     return max(0.0, 1.0 - lam_max)
 
 
-def eigengap_of(pop_cov_parts, r1, r2):
-    """Spectral margin between retained and discarded population eigenvalues.
-
-    ``pop_cov_parts`` is one ``(Sigma_g, Sigma_l)`` pair per client; the gap
-    for a client is
-
-        min(lambda_r1(Sigma_g), lambda_r2(Sigma_l))
-          - max(lambda_{r1+1}(Sigma_g), lambda_{r2+1}(Sigma_l))
-
-    and the minimum over clients is returned. A nonpositive gap means the
-    retained components are not spectrally separated and raises ValueError.
-    """
-    gaps = []
-    for Sigma_g, Sigma_l in pop_cov_parts:
-        wg = np.sort(np.linalg.eigvalsh(Sigma_g))[::-1]
-        wl = np.sort(np.linalg.eigvalsh(Sigma_l))[::-1]
-        d = wg.shape[0]
-        kept = min(wg[r1 - 1], wl[r2 - 1])
-        dropped = max(
-            wg[r1] if r1 < d else 0.0,
-            wl[r2] if r2 < d else 0.0,
-        )
-        gaps.append(kept - dropped)
-    gap = float(min(gaps))
-    if gap < 0:
-        raise ValueError(f"negative eigengap {gap:.3e}: retained spectrum not separated")
-    return gap
-
-
 def _raw_eigengap(spec):
-    # same number as eigengap_of on population_covariance_parts, but without
-    # the sign flag, so noisy / degenerate specs can still be described
+    # margin between the retained score variances and the noise variance of
+    # the discarded directions; may be negative, so noisy or degenerate specs
+    # can still be described
     sg2 = spec.global_score_std**2
     sl2 = spec.local_score_std**2
     se2 = spec.noise_std**2
@@ -206,32 +174,3 @@ def generate_observations(truth, spec, test_split=0):
             Y = Y + spec.noise_std * rng_n.standard_normal((spec.d, n))
         datasets.append(Y)
     return datasets
-
-
-def population_covariance(truth, spec, client):
-    """Analytic covariance sg^2 P_U + sl^2 P_Vi + se^2 I of one client."""
-    d = spec.d
-    return (
-        spec.global_score_std**2 * truth.U_true @ truth.U_true.T
-        + spec.local_score_std**2 * truth.V_true[client] @ truth.V_true[client].T
-        + spec.noise_std**2 * np.eye(d)
-    )
-
-
-def population_covariance_parts(truth, spec):
-    """Per-client ``(Sigma_g, Sigma_l)`` split of the analytic covariance.
-
-    The isotropic noise is attributed to the discarded directions of the
-    local part, so the eigengap of the pair shrinks by the noise variance.
-    """
-    d = spec.d
-    parts = []
-    for i in range(spec.N):
-        P_u = truth.U_true @ truth.U_true.T
-        P_v = truth.V_true[i] @ truth.V_true[i].T
-        Sigma_g = spec.global_score_std**2 * P_u
-        Sigma_l = spec.local_score_std**2 * P_v + spec.noise_std**2 * (
-            np.eye(d) - P_u - P_v
-        )
-        parts.append((Sigma_g, Sigma_l))
-    return parts

@@ -114,6 +114,17 @@ class TestFit:
         assert manifest["flags"]["rounds"] == 12  # flag beats config
         assert manifest["flags"]["eta"] == 0.05  # config beats default
 
+    @pytest.mark.parametrize("eta, ascends", [("100", False), ("auto", True)])
+    def test_objective_decreases_counted(self, synth_dir, tmp_path, eta, ascends):
+        out = tmp_path / f"eta-{eta}"
+        run("fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 50, "--eta", eta,
+            "--out", out)
+        objective = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)[:, 1]
+        decreases = json.loads((out / "manifest.json").read_text())["metrics"][
+            "objective_decreases"]
+        assert decreases == int(np.sum(np.diff(objective) < -1e-12))
+        assert (decreases == 0) == ascends
+
     def test_center_flag(self, synth_dir, tmp_path):
         run("fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 5,
             "--center", "--seed", 2, "--out", tmp_path / "ctr")

@@ -1,9 +1,18 @@
 import json
+import multiprocessing
+import os
+import signal
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from perpca import fileio
+from perpca import cli, fileio
 from perpca.errors import DimensionError
 from perpca.solver import RoundTrace
 
@@ -64,6 +73,13 @@ class TestMalformedFiles:
         path = tmp_path / "client_0.csv"
         path.write_text(f"1.0,2.0\n3.0,{bad}\n")
         with pytest.raises(ValueError, match=r"client_0\.csv: non-finite value .* row 1, column 1"):
+            fileio.load_matrix(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", "# comment\n"])
+    def test_empty_csv_names_file(self, tmp_path, text):
+        path = tmp_path / "client_0.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"client_0\.csv: no values"):
             fileio.load_matrix(path)
 
     def test_non_finite_mat64_value_names_file(self, tmp_path):
@@ -151,3 +167,221 @@ def test_manifest_schema(tmp_path):
     }
     assert payload["command"] == "fit"
     assert list(payload["input_digests"].values())[0] == fileio.file_digest(data)
+
+
+@pytest.fixture()
+def deadline():
+    """Fail a forked read or write that hangs; afterwards no worker may be left."""
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture()
+def parallel(monkeypatch):
+    """Forked reads and writes at any size, with three workers even on one CPU."""
+    monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 3)
+    assert fileio._worker_count(["csv"] * 5, 0) == 3
+
+
+def _hung(signum, frame):
+    raise TimeoutError("a forked read or write did not return within 60 s")
+
+
+def _clients(n=5, d=4):
+    rng = _rng()
+    return [rng.standard_normal((d, 3 + 7 * i)) * np.logspace(-9, 9, d)[:, None]
+            for i in range(n)]
+
+
+def _both(tmp_path, monkeypatch, fn):
+    """``fn(directory)`` once serially and once in forked workers."""
+    results = []
+    for name, min_bytes, cpus in (("serial", 1 << 62, 1), ("parallel", 0, 3)):
+        monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", min_bytes)
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
+        results.append(fn(tmp_path / name))
+    return results
+
+
+@pytest.mark.usefixtures("deadline")
+class TestParallelFiles:
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+        big = fileio._FORK_MIN_BYTES
+        assert fileio._worker_count(["csv"] * 20, big) == 2
+        assert fileio._worker_count(["csv"] * 20, big - 1) == 0
+        assert fileio._worker_count(["csv"], big) == 0
+        assert fileio._worker_count(["bin"] * 20, big) == 0
+        assert fileio._worker_count(["csv", "bin"], big) == 0
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 1)
+        assert fileio._worker_count(["csv"] * 20, big) == 0
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert fileio._worker_count(["csv"] * 20, big) == 0
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_writes_match_serial_bytes(self, tmp_path, monkeypatch, header):
+        Ys = _clients()
+
+        def write(out):
+            paths = fileio.save_datasets(out, Ys, header=header)
+            return [(p.name, p.read_bytes()) for p in paths]
+
+        serial_files, parallel_files = _both(tmp_path, monkeypatch, write)
+        assert len(serial_files) == 5
+        assert serial_files == parallel_files
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_reads_match_serial_bits(self, tmp_path, monkeypatch, center):
+        fileio.save_datasets(tmp_path / "data", _clients(), header=True)
+        paths = fileio.resolve_data_paths([tmp_path / "data"])
+
+        def read(_):
+            return fileio.load_datasets(paths, header=True, center=center)
+
+        serial_ys, parallel_ys = _both(tmp_path, monkeypatch, read)
+        for a, b in zip(serial_ys, parallel_ys, strict=True):
+            assert a.shape == b.shape and a.strides == b.strides
+            assert a.tobytes() == b.tobytes()
+
+    def test_save_returns_paths_in_client_order(self, tmp_path, parallel):
+        paths = fileio.save_datasets(tmp_path, _clients())
+        assert [p.name for p in paths] == [f"client_{i}.csv" for i in range(5)]
+
+    def _errors(self, tmp_path, monkeypatch, paths):
+        def read(_):
+            with pytest.raises(ValueError) as info:
+                fileio.load_datasets(paths)
+            return info.value
+
+        return _both(tmp_path, monkeypatch, read)
+
+    def test_non_finite_cell_raises_serial_error(self, tmp_path, monkeypatch):
+        paths = fileio.save_datasets(tmp_path, _clients())
+        lines = paths[3].read_text().splitlines()
+        lines[2] = "nan" + lines[2][lines[2].index(","):]
+        paths[3].write_text("\n".join(lines) + "\n")
+        serial_exc, parallel_exc = self._errors(tmp_path, monkeypatch, paths)
+        assert type(parallel_exc) is type(serial_exc) is ValueError
+        assert str(parallel_exc) == str(serial_exc)
+        assert str(paths[3]) in str(serial_exc) and "row 2, column 0" in str(serial_exc)
+
+    def test_dimension_error_ahead_of_broken_file(self, tmp_path, monkeypatch):
+        # files larger than a pipe buffer leave the workers of the unread files
+        # blocked in a send, which only terminating them ends
+        Ys = [np.full((3, 5000), float(i)) for i in range(5)]
+        paths = fileio.save_datasets(tmp_path, Ys)
+        fileio.save_matrix(paths[1], np.ones((6, 4)))
+        paths[3].write_text("1.0,oops,2.0\n")
+        serial_exc, parallel_exc = self._errors(tmp_path, monkeypatch, paths)
+        assert type(parallel_exc) is type(serial_exc) is DimensionError
+        assert str(parallel_exc) == str(serial_exc)
+        assert str(serial_exc).startswith(f"{paths[1]}: 4 features")
+
+    def test_killed_read_worker_raises(self, tmp_path, monkeypatch, parallel):
+        paths = fileio.save_datasets(tmp_path, _clients())
+        load = fileio.load_matrix
+
+        def killed_on_client_2(path, **kwargs):
+            if Path(path).name == "client_2.csv":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(path, **kwargs)
+
+        monkeypatch.setattr(fileio, "load_matrix", killed_on_client_2)
+        with pytest.raises(RuntimeError, match=r"client_2\.csv: worker process exited"):
+            fileio.load_datasets(paths)
+
+    def test_killed_write_worker_raises(self, tmp_path, monkeypatch, parallel):
+        save = fileio.save_matrix
+
+        def killed_on_client_4(path, *args):
+            if Path(path).name == "client_4.csv":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return save(path, *args)
+
+        monkeypatch.setattr(fileio, "save_matrix", killed_on_client_4)
+        with pytest.raises(RuntimeError, match=r"client_4\.csv: worker process exited"):
+            fileio.save_datasets(tmp_path, _clients())
+
+    def test_write_error_names_first_failing_file(self, tmp_path, parallel):
+        out = tmp_path / "data"
+        out.mkdir()
+        (out / "client_2.csv").mkdir()  # a directory cannot be opened for writing
+        (out / "client_4.csv").mkdir()
+        with pytest.raises(IsADirectoryError, match=r"client_2\.csv"):
+            fileio.save_datasets(out, _clients())
+
+    def test_cli_pipeline_matches_serial(self, tmp_path, monkeypatch):
+        def pipeline(out):
+            data, fit = out / "data", out / "fit"
+            argv = [["synth", "--d", "6", "--N", "3", "--r1", "1", "--r2", "1", "--n", "80",
+                     "--noise-std", "0.2", "--seed", "5", "--out", data],
+                    ["fit", data, "--r1", "1", "--r2", "1", "--rounds", "20",
+                     "--truth", data, "--out", fit],
+                    ["eval", data, "--components", fit, "--truth", data,
+                     "--out", out / "eval.json"]]
+            for args in argv:
+                assert cli.main([str(a) for a in args]) == 0
+            return {str(p.relative_to(out)): p.read_bytes()
+                    for p in sorted(out.rglob("*"))
+                    if p.is_file() and p.name != "manifest.json"}
+
+        serial_out, parallel_out = _both(tmp_path, monkeypatch, pipeline)
+        assert "data/client_2.csv" in serial_out and "fit/trace.csv" in serial_out
+        assert serial_out == parallel_out
+
+
+_finite = hnp.from_dtype(np.dtype(float), allow_nan=False, allow_infinity=False,
+                         allow_subnormal=True)
+_values = _finite | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                    1e308, -1e308, 1.7976931348623157e308])
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                    elements=_values),
+       fmt=st.sampled_from(["csv", "bin"]))
+def test_fuzz_matrix_round_trip_is_bitwise(M, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = fileio.save_matrix(Path(tmp) / f"m.{fileio._ext(fmt)}", M, fmt=fmt)
+        back = fileio.load_matrix(path)
+    assert back.shape == M.shape
+    assert back.tobytes() == M.tobytes()
+
+
+_csv_text = st.text(alphabet="0123456789.,-+eE \nnaif", max_size=40).map(str.encode)
+_mat64 = st.builds(
+    lambda rows, cols, payload: np.array([rows, cols], dtype="<u8").tobytes() + payload,
+    st.integers(0, 2**64 - 1) | st.integers(0, 4), st.integers(0, 2**64 - 1) | st.integers(0, 4),
+    st.binary(max_size=80),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=st.binary(max_size=60) | _csv_text | _mat64, ext=st.sampled_from(["csv", "mat64"]))
+@example(raw=np.array([2**63, 0], dtype="<u8").tobytes(), ext="mat64")
+@example(raw=np.array([0, 2**64 - 1], dtype="<u8").tobytes(), ext="mat64")
+@example(raw=b"", ext="csv")
+def test_fuzz_loader_raises_package_errors_naming_the_file(raw, ext):
+    with tempfile.TemporaryDirectory() as tmp:
+        good = fileio.save_matrix(Path(tmp) / "client_0.csv", np.ones((2, 2)))
+        path = Path(tmp) / f"client_1.{ext}"
+        path.write_bytes(raw)
+        try:
+            datasets = fileio.load_datasets([good, path])
+        except (ValueError, DimensionError) as exc:
+            assert str(path) in str(exc)
+        else:
+            assert datasets[1].shape[0] == 2 and np.isfinite(datasets[1]).all()

@@ -4,7 +4,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perpca import stiefel, synth
-from perpca.model import covariance
+from perpca.model import ComponentState, covariance
+
+
+def population_covariance(truth, spec, client):
+    """Analytic covariance sg^2 P_U + sl^2 P_Vi + se^2 I of one client."""
+    d = spec.d
+    return (
+        spec.global_score_std**2 * truth.U_true @ truth.U_true.T
+        + spec.local_score_std**2 * truth.V_true[client] @ truth.V_true[client].T
+        + spec.noise_std**2 * np.eye(d)
+    )
+
+
+def population_covariance_parts(truth, spec):
+    """Per-client ``(Sigma_g, Sigma_l)`` split of the analytic covariance.
+
+    The isotropic noise is attributed to the discarded directions of the
+    local part, so the eigengap of the pair shrinks by the noise variance.
+    """
+    d = spec.d
+    parts = []
+    for i in range(spec.N):
+        P_u = truth.U_true @ truth.U_true.T
+        P_v = truth.V_true[i] @ truth.V_true[i].T
+        Sigma_g = spec.global_score_std**2 * P_u
+        Sigma_l = spec.local_score_std**2 * P_v + spec.noise_std**2 * (
+            np.eye(d) - P_u - P_v
+        )
+        parts.append((Sigma_g, Sigma_l))
+    return parts
+
+
+def eigengap_of(pop_cov_parts, r1, r2):
+    """Spectral margin between retained and discarded population eigenvalues.
+
+    ``pop_cov_parts`` is one ``(Sigma_g, Sigma_l)`` pair per client; the gap
+    for a client is
+
+        min(lambda_r1(Sigma_g), lambda_r2(Sigma_l))
+          - max(lambda_{r1+1}(Sigma_g), lambda_{r2+1}(Sigma_l))
+
+    and the minimum over clients is returned. A nonpositive gap means the
+    retained components are not spectrally separated and raises ValueError.
+    """
+    gaps = []
+    for Sigma_g, Sigma_l in pop_cov_parts:
+        wg = np.sort(np.linalg.eigvalsh(Sigma_g))[::-1]
+        wl = np.sort(np.linalg.eigvalsh(Sigma_l))[::-1]
+        d = wg.shape[0]
+        kept = min(wg[r1 - 1], wl[r2 - 1])
+        dropped = max(
+            wg[r1] if r1 < d else 0.0,
+            wl[r2] if r2 < d else 0.0,
+        )
+        gaps.append(kept - dropped)
+    gap = float(min(gaps))
+    if gap < 0:
+        raise ValueError(f"negative eigengap {gap:.3e}: retained spectrum not separated")
+    return gap
+
+
+def _as_state(truth):
+    return ComponentState(truth.U_true, list(truth.V_true))
 
 
 def _spec(**kw):
@@ -37,14 +99,14 @@ class TestThetaOf:
 class TestGenerateComponents:
     def test_invariants_and_theta_consistency(self):
         truth = synth.generate_components(_spec())
-        truth.as_state().validate()
+        _as_state(truth).validate()
         assert truth.theta_actual == synth.theta_of(truth.V_true)
 
     def test_theta_target_hit_exactly(self):
         spec = _spec(d=3, N=2, r1=1, r2=1, theta_target=0.127)
         truth = synth.generate_components(spec)
         assert truth.theta_actual == pytest.approx(0.127, abs=1e-10)
-        truth.as_state().validate()
+        _as_state(truth).validate()
 
     def test_grouped_clients_share_local_frames(self):
         spec = _spec(N=4, groups=[0, 0, 1, 1])
@@ -115,7 +177,7 @@ class TestGenerateObservations:
         truth = synth.generate_components(spec)
         Y = synth.generate_observations(truth, spec)[0]
         S = covariance(Y)
-        Sigma = synth.population_covariance(truth, spec, 0)
+        Sigma = population_covariance(truth, spec, 0)
         gap = np.linalg.norm(S - Sigma, ord=2)
         # operator-norm deviation decays like 1 / sqrt(n); generous constant
         assert gap < 20.0 / np.sqrt(spec.n_per_client[0])
@@ -136,19 +198,19 @@ class TestEigengap:
         raw = rng.standard_normal((5, 1))
         V = stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw))
         parts = [(3.0 * U @ U.T, 2.0 * V @ V.T)]
-        assert synth.eigengap_of(parts, 1, 1) == pytest.approx(2.0, abs=1e-10)
+        assert eigengap_of(parts, 1, 1) == pytest.approx(2.0, abs=1e-10)
 
     def test_noise_shrinks_gap(self):
         spec = _spec(global_score_std=np.sqrt(3.0), local_score_std=np.sqrt(2.0),
                      noise_std=np.sqrt(0.5))
         truth = synth.generate_components(spec)
-        parts = synth.population_covariance_parts(truth, spec)
-        assert synth.eigengap_of(parts, spec.r1, spec.r2) == pytest.approx(1.5, abs=1e-9)
+        parts = population_covariance_parts(truth, spec)
+        assert eigengap_of(parts, spec.r1, spec.r2) == pytest.approx(1.5, abs=1e-9)
         assert truth.eigengap == pytest.approx(1.5, abs=1e-12)
 
     def test_negative_gap_raises(self):
         spec = _spec(global_score_std=0.5, local_score_std=2.0, noise_std=1.0)
         truth = synth.generate_components(spec)
-        parts = synth.population_covariance_parts(truth, spec)
+        parts = population_covariance_parts(truth, spec)
         with pytest.raises(ValueError):
-            synth.eigengap_of(parts, spec.r1, spec.r2)
+            eigengap_of(parts, spec.r1, spec.r2)
