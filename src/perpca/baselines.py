@@ -1,20 +1,10 @@
 """One-shot comparison methods: stacked distributed PCA with deflation,
 per-client PCA, and pooled (centralized) PCA."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, SingularityError
 from .model import ComponentState
-
-
-@dataclass
-class EigenBasis:
-    """Top eigenpairs of a symmetric matrix, eigenvalues descending."""
-
-    vectors: np.ndarray
-    values: np.ndarray
 
 
 def _fix_signs(vectors):
@@ -29,7 +19,8 @@ def _fix_signs(vectors):
 
 
 def top_eigvecs(S, k):
-    """Top-k eigenpairs of a symmetric PSD matrix, descending, signs fixed."""
+    """Top-k eigenvectors of a symmetric matrix as a d x k frame, in descending
+    eigenvalue order, signs fixed."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionError(f"matrix must be square, got {S.shape}")
@@ -37,7 +28,7 @@ def top_eigvecs(S, k):
         raise ValueError(f"need 1 <= k <= {S.shape[0]}, got k={k}")
     values, vectors = np.linalg.eigh(S)
     order = np.argsort(values)[::-1][:k]
-    return EigenBasis(_fix_signs(vectors[:, order]), np.maximum(values[order], 0.0))
+    return _fix_signs(vectors[:, order])
 
 
 def _as_r2_list(r2, n_clients):
@@ -65,7 +56,7 @@ def distpca_global(covs, r1, r2_list, rank_tol=1e-12):
     """
     frames = []
     for S, r2 in zip(covs, r2_list):
-        F = top_eigvecs(S, r1 + r2).vectors
+        F = top_eigvecs(S, r1 + r2)
         frames.append(F * (1.0 - _TIE_BREAK * np.arange(r1 + r2)))
     stacked = np.concatenate(frames, axis=1)
     gram = stacked @ stacked.T
@@ -74,7 +65,7 @@ def distpca_global(covs, r1, r2_list, rank_tol=1e-12):
         raise SingularityError(
             f"stacked client components have rank < {r1}"
         )
-    return top_eigvecs(gram, r1).vectors
+    return top_eigvecs(gram, r1)
 
 
 def distpca(covs, r1, r2_list):
@@ -95,13 +86,13 @@ def distpca(covs, r1, r2_list):
     for S, r2 in zip(covs, r2_list):
         deflated = S - U @ (U.T @ S)
         deflated = deflated - (deflated @ U) @ U.T
-        V.append(top_eigvecs((deflated + deflated.T) / 2.0, r2).vectors)
+        V.append(top_eigvecs((deflated + deflated.T) / 2.0, r2))
     return ComponentState(U, V).validate()
 
 
 def indiv_pca(covs, r_total):
     """Per-client top-``r_total`` eigenvectors; no sharing between clients."""
-    return [top_eigvecs(S, r_total).vectors for S in covs]
+    return [top_eigvecs(S, r_total) for S in covs]
 
 
 def central_pca(covs, counts, r_total):
@@ -112,4 +103,4 @@ def central_pca(covs, counts, r_total):
     if total <= 0:
         raise ValueError("pooled dataset is empty")
     pooled = sum(n * S for n, S in zip(counts, covs)) / total
-    return top_eigvecs(pooled, r_total).vectors
+    return top_eigvecs(pooled, r_total)

@@ -2,10 +2,14 @@
 
 Each scenario returns a list of row dicts (one per grid point and method)
 with mean and standard deviation over seed repeats; the command-line
-``bench`` writes them as CSV. Scenario parameters are chosen so the
+``bench`` writes them as CSV. Every scenario is a list of grid points and a
+measure, run by one driver (:func:`_drive`) that builds the planted
+instances. Scenario parameters are chosen so the
 qualitative contrasts are reproducible in minutes on a laptop; score and
 noise scales are exposed for experimentation.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -60,6 +64,54 @@ def fit_convergence_slope(gaps, floor_rel=1e-12):
     return float(np.polyfit(rounds, np.log10(np.maximum(gaps[keep], 1e-300)), 1)[0])
 
 
+def _drive(scenario, points, repeats, seed0, measure, **kwargs):
+    """Rows of one scenario: each grid point measured at seeds ``seed0 .. seed0+repeats-1``.
+
+    ``points`` holds ``(columns, fields)`` pairs: a point's leading row
+    columns and its ``GenerativeSpec`` fields other than the seed. For each
+    seed the driver builds the planted instance and its client covariances
+    and calls ``measure(spec, truth, covs, **kwargs)``, which returns named
+    values ``{(method, metric[, group]): value}``. Each name becomes one row
+    per point, in the order the measure returns it, with the point's
+    columns followed by its d, N, r1 and r2.
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    rows = []
+    for columns, fields in points:
+        named = {}
+        for k in range(repeats):
+            spec = synth.GenerativeSpec(**fields, seed=seed0 + k)
+            truth = synth.generate_components(spec)
+            covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
+            for name, value in measure(spec, truth, covs, **kwargs).items():
+                named.setdefault(name, []).append(value)
+        columns = {**columns, **{key: fields[key] for key in ("d", "N", "r1", "r2")}}
+        for (method, metric, *group), values in named.items():
+            group = {"group": group[0]} if group else {}
+            rows.append(_row(scenario, method, metric, values, **group, **columns))
+    return rows
+
+
+def _solve(spec, covs, rounds, **config):
+    """The federated solve of a planted instance, at its ranks and seed.
+
+    No scenario reads the per-round subspace error, so the truth is not passed.
+    """
+    return solver.run_perpca(covs, solver.SolverConfig(
+        r1=spec.r1, r2=spec.r2, rounds=rounds, seed=spec.seed, **config))
+
+
+def _distpca(spec, covs):
+    return baselines.distpca(covs, spec.r1, [spec.r2] * spec.N)
+
+
+def _against_distpca(spec, truth, covs, rounds, **config):
+    state, _ = _solve(spec, covs, rounds, record_trace=False, **config)
+    return {("perpca", "subspace_error"): metrics.subspace_error(state, truth),
+            ("distpca", "subspace_error"): metrics.subspace_error(_distpca(spec, covs), truth)}
+
+
 @_scenario
 def error_vs_n(repeats=5, seed0=0, ns=(200, 800, 3200, 12800), d=15, n_clients=100,
                r1=2, r2=3, local_std=10.0, noise_std=7.0, rounds=1500,
@@ -71,30 +123,11 @@ def error_vs_n(repeats=5, seed0=0, ns=(200, 800, 3200, 12800), d=15, n_clients=1
     baseline inconsistent; the federated solver aggregates all clients and
     keeps improving like 1/n.
     """
-    rows = []
-    for n in ns:
-        per_seed = {"perpca": [], "distpca": []}
-        for k in range(repeats):
-            seed = seed0 + k
-            spec = synth.GenerativeSpec(
-                d=d, N=n_clients, r1=r1, r2=r2, n_per_client=int(n),
-                global_score_std=1.0, local_score_std=local_std,
-                noise_std=noise_std, seed=seed,
-            )
-            truth = synth.generate_components(spec)
-            covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
-            config = solver.SolverConfig(
-                r1=r1, r2=r2, rounds=rounds, seed=seed, record_trace=False,
-                stepsize_scale=stepsize_scale,
-            )
-            state, _ = solver.run_perpca(covs, config, truth=truth)
-            per_seed["perpca"].append(metrics.subspace_error(state, truth))
-            d_state = baselines.distpca(covs, r1, [r2] * n_clients)
-            per_seed["distpca"].append(metrics.subspace_error(d_state, truth))
-        for method, vals in per_seed.items():
-            rows.append(_row("error-vs-n", method, "subspace_error", vals,
-                             n=n, d=d, N=n_clients, r1=r1, r2=r2))
-    return rows
+    points = [({"n": n}, dict(d=d, N=n_clients, r1=r1, r2=r2, n_per_client=int(n),
+                              local_score_std=local_std, noise_std=noise_std))
+              for n in ns]
+    return _drive("error-vs-n", points, repeats, seed0, _against_distpca, rounds=rounds,
+                  stepsize_scale=stepsize_scale)
 
 
 @_scenario
@@ -106,58 +139,38 @@ def error_vs_d(repeats=3, seed0=0, ds=(10, 20, 40, 80), n=10_000, n_clients=20,
     and sit close to the noise floor, so the number of marginally
     separated eigen-pairs grows like d^2 and the error follows.
     """
-    rows = []
-    for d in ds:
-        r2 = round(2 * d / 3) - r1
-        per_seed = {"perpca": [], "distpca": []}
-        for k in range(repeats):
-            seed = seed0 + k
-            spec = synth.GenerativeSpec(
-                d=d, N=n_clients, r1=r1, r2=r2,
-                n_per_client=_rich_sparse_counts(n, n_clients),
-                global_score_std=1.0, local_score_std=local_std,
-                noise_std=noise_std, seed=seed,
-            )
-            truth = synth.generate_components(spec)
-            covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
-            config = solver.SolverConfig(r1=r1, r2=r2, rounds=rounds, seed=seed,
-                                         record_trace=False)
-            state, _ = solver.run_perpca(covs, config, truth=truth)
-            per_seed["perpca"].append(metrics.subspace_error(state, truth))
-            d_state = baselines.distpca(covs, r1, [r2] * n_clients)
-            per_seed["distpca"].append(metrics.subspace_error(d_state, truth))
-        for method, vals in per_seed.items():
-            rows.append(_row("error-vs-d", method, "subspace_error", vals,
-                             n=n, d=d, N=n_clients, r1=r1, r2=r2))
-    return rows
+    points = [({"n": n}, dict(d=d, N=n_clients, r1=r1, r2=round(2 * d / 3) - r1,
+                              n_per_client=_rich_sparse_counts(n, n_clients),
+                              local_score_std=local_std, noise_std=noise_std))
+              for d in ds]
+    return _drive("error-vs-d", points, repeats, seed0, _against_distpca, rounds=rounds)
+
+
+def _average_and_shared_error(spec, truth, covs, rounds):
+    state, _ = _solve(spec, covs, rounds, record_trace=False)
+    return {("perpca", "subspace_error"): metrics.subspace_error(state, truth),
+            ("perpca", "shared_subspace_error"):
+                stiefel.subspace_distance(state.U, truth.U_true)}
 
 
 @_scenario
 def error_vs_N(repeats=3, seed0=0, Ns=(10, 30, 100), d=15, n=2000, r1=2, r2=3,
                local_std=10.0, noise_std=0.7, rounds=300):
     """Average and shared-only subspace error against the number of clients."""
-    rows = []
-    for N in Ns:
-        avg_err, shared_err = [], []
-        for k in range(repeats):
-            seed = seed0 + k
-            spec = synth.GenerativeSpec(
-                d=d, N=N, r1=r1, r2=r2, n_per_client=n,
-                global_score_std=1.0, local_score_std=local_std,
-                noise_std=noise_std, seed=seed,
-            )
-            truth = synth.generate_components(spec)
-            covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
-            config = solver.SolverConfig(r1=r1, r2=r2, rounds=rounds, seed=seed,
-                                         record_trace=False)
-            state, _ = solver.run_perpca(covs, config, truth=truth)
-            avg_err.append(metrics.subspace_error(state, truth))
-            shared_err.append(stiefel.subspace_distance(state.U, truth.U_true))
-        rows.append(_row("error-vs-N", "perpca", "subspace_error", avg_err,
-                         n=n, d=d, N=N, r1=r1, r2=r2))
-        rows.append(_row("error-vs-N", "perpca", "shared_subspace_error", shared_err,
-                         n=n, d=d, N=N, r1=r1, r2=r2))
-    return rows
+    points = [({"n": n}, dict(d=d, N=N, r1=r1, r2=r2, n_per_client=n,
+                              local_score_std=local_std, noise_std=noise_std))
+              for N in Ns]
+    return _drive("error-vs-N", points, repeats, seed0, _average_and_shared_error,
+                  rounds=rounds)
+
+
+def _convergence(spec, truth, covs, rounds):
+    # noiseless and identifiable: the optimum is half the summed traces
+    f_star = 0.5 * sum(float(np.trace(S)) for S in covs)
+    _, trace = _solve(spec, covs, rounds, init="random")
+    gaps = np.array([max(f_star - t.objective, 0.0) for t in trace])
+    return {("perpca", "convergence_slope"): fit_convergence_slope(gaps),
+            ("perpca", "final_log10_gap"): np.log10(max(gaps[-1], 1e-300))}
 
 
 @_scenario
@@ -172,38 +185,32 @@ def theta_sweep(repeats=10, seed0=0, thetas=(0.05, 0.1, 0.2, 0.3), n=500,
     the summed covariance traces, so the per-round optimality gap is
     available in closed form.
     """
-    rows = []
-    for theta in thetas:
-        slopes, final_gaps = [], []
-        for k in range(repeats):
-            seed = seed0 + k
-            spec = synth.GenerativeSpec(
-                d=3, N=2, r1=1, r2=1, n_per_client=n,
-                global_score_std=1.0, local_score_std=1.0, noise_std=0.0,
-                theta_target=theta, seed=seed,
-            )
-            truth = synth.generate_components(spec)
-            covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
-            f_star = 0.5 * sum(float(np.trace(S)) for S in covs)
-            config = solver.SolverConfig(r1=1, r2=1, rounds=rounds, seed=seed,
-                                         init="random")
-            _, trace = solver.run_perpca(covs, config, truth=truth)
-            gaps = np.array([max(f_star - t.objective, 0.0) for t in trace])
-            slopes.append(fit_convergence_slope(gaps))
-            final_gaps.append(max(gaps[-1], 1e-300))
-        rows.append(_row("theta-sweep", "perpca", "convergence_slope", slopes,
-                         theta=theta, n=n, d=3, N=2, r1=1, r2=1))
-        rows.append(_row("theta-sweep", "perpca", "final_log10_gap",
-                         np.log10(final_gaps), theta=theta, n=n, d=3, N=2, r1=1, r2=1))
-    return rows
+    points = [({"theta": theta, "n": n}, dict(d=3, N=2, r1=1, r2=1, n_per_client=n,
+                                              local_score_std=1.0, theta_target=theta))
+              for theta in thetas]
+    return _drive("theta-sweep", points, repeats, seed0, _convergence, rounds=rounds)
 
 
-def _test_recon(datasets, U, V_list):
-    errs = []
-    for i, Y in enumerate(datasets):
-        Vi = V_list[i] if V_list is not None else None
-        errs.append(model.reconstruction_error(Y, U, Vi))
-    return errs
+def _held_out_errors(spec, truth, covs, rounds, n_test):
+    test = synth.generate_observations(
+        truth, dataclasses.replace(spec, n_per_client=n_test), test_split=1)
+    state, _ = _solve(spec, covs, rounds, record_trace=False)
+    d_state = _distpca(spec, covs)
+    indiv = baselines.indiv_pca(covs, spec.r1 + spec.r2)
+    pooled = baselines.central_pca(covs, spec.n_per_client, spec.r1 + spec.r2)
+    per_client = {
+        "perpca": [model.reconstruction_error(Y, state.U, V) for Y, V in zip(test, state.V)],
+        "indivpca": [model.reconstruction_error(Y, F) for Y, F in zip(test, indiv)],
+        "cpca": [model.reconstruction_error(Y, pooled) for Y in test],
+        "distpca": [model.reconstruction_error(Y, d_state.U, V)
+                    for Y, V in zip(test, d_state.V)],
+        "truth": [model.reconstruction_error(Y, truth.U_true, V)
+                  for Y, V in zip(test, truth.V_true)],
+    }
+    half = spec.N // 2
+    return {(method, "test_reconstruction_error", group): float(np.mean(errs[clients]))
+            for group, clients in (("rich", slice(half)), ("sparse", slice(half, None)))
+            for method, errs in per_client.items()}
 
 
 @_scenario
@@ -218,52 +225,12 @@ def knowledge_sharing(repeats=5, seed0=0, n=100, n_clients=100, d=15, r1=2, r2=2
     Baselines retain r1+r2 components per client for fairness; the
     analytic floor of the planted components is reported alongside.
     """
-    groups = {"rich": range(n_clients // 2), "sparse": range(n_clients // 2, n_clients)}
-    acc = {g: {m: [] for m in ("perpca", "indivpca", "cpca", "distpca", "truth")}
-           for g in groups}
-    for k in range(repeats):
-        seed = seed0 + k
-        counts = _rich_sparse_counts(n, n_clients)
-        spec = synth.GenerativeSpec(
-            d=d, N=n_clients, r1=r1, r2=r2, n_per_client=counts,
-            global_score_std=global_std, local_score_std=local_std,
-            noise_std=noise_std, seed=seed,
-        )
-        truth = synth.generate_components(spec)
-        train = synth.generate_observations(truth, spec)
-        test_spec = synth.GenerativeSpec(
-            d=d, N=n_clients, r1=r1, r2=r2, n_per_client=[n_test] * n_clients,
-            global_score_std=global_std, local_score_std=local_std,
-            noise_std=noise_std, seed=seed,
-        )
-        test = synth.generate_observations(truth, test_spec, test_split=1)
-        covs = [model.covariance(Y) for Y in train]
-
-        config = solver.SolverConfig(r1=r1, r2=r2, rounds=rounds, seed=seed,
-                                     record_trace=False)
-        state, _ = solver.run_perpca(covs, config)
-        per_client = {
-            "perpca": _test_recon(test, state.U, state.V),
-            "truth": _test_recon(test, truth.U_true, truth.V_true),
-        }
-        d_state = baselines.distpca(covs, r1, [r2] * n_clients)
-        per_client["distpca"] = _test_recon(test, d_state.U, d_state.V)
-        indiv = baselines.indiv_pca(covs, r1 + r2)
-        per_client["indivpca"] = [
-            model.reconstruction_error(Y, F) for Y, F in zip(test, indiv)
-        ]
-        pooled = baselines.central_pca(covs, counts, r1 + r2)
-        per_client["cpca"] = [model.reconstruction_error(Y, pooled) for Y in test]
-
-        for g, idx in groups.items():
-            for method, errs in per_client.items():
-                acc[g][method].append(float(np.mean([errs[i] for i in idx])))
-    rows = []
-    for g, by_method in acc.items():
-        for method, vals in by_method.items():
-            rows.append(_row("knowledge-sharing", method, "test_reconstruction_error",
-                             vals, group=g, n=n, d=d, N=n_clients, r1=r1, r2=r2))
-    return rows
+    point = ({"n": n}, dict(d=d, N=n_clients, r1=r1, r2=r2,
+                            n_per_client=_rich_sparse_counts(n, n_clients),
+                            global_score_std=global_std, local_score_std=local_std,
+                            noise_std=noise_std))
+    return _drive("knowledge-sharing", [point], repeats, seed0, _held_out_errors,
+                  rounds=rounds, n_test=n_test)
 
 
 def format_csv(rows):

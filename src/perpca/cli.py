@@ -5,14 +5,19 @@ Subcommands: ``synth`` (planted datasets), ``fit`` (federated solver),
 (errors of saved components), ``cluster`` (client clustering from local
 frames), ``check`` (numerical verification suites).
 
-Flag precedence: explicit flag > JSON config file (``--config``) >
-built-in default. Every data-producing command writes a manifest.
+Each option is one entry of :data:`OPTIONS`, naming the commands that read
+it; the parser, the config-file check and the manifest ``flags`` all come
+from that table. Precedence: explicit flag > JSON config file
+(``--config``) > built-in default. ``eval`` and ``check`` write no
+manifest; every other command does.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,52 +25,168 @@ import numpy as np
 from . import baselines, bench, checks, fileio, metrics, model, solver, synth
 
 
-def _merged(args, defaults):
-    """Resolve flag > config-file > default for every known option."""
-    config = {}
-    if getattr(args, "config", None):
-        config = json.loads(Path(args.config).read_text())
-        unknown = set(config) - set(defaults)
-        if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        out[key] = flag if flag is not None else config.get(key, default)
-    return out
-
-
-def _parse_r2(text):
-    parts = str(text).split(",")
+def _int_list(value):
+    """An int, or a list of ints from comma-separated text or a JSON list."""
+    if isinstance(value, list):
+        return [int(str(v)) for v in value]
+    parts = str(value).split(",")
     return int(parts[0]) if len(parts) == 1 else [int(p) for p in parts]
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON file with defaults for this command")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="root seed for all randomness")
-    p.add_argument("--format", choices=["csv", "bin"], dest="fmt",
-                   help="matrix file format (default csv)")
+def _stepsize(value):
+    """``"auto"`` or a float."""
+    return value if value == "auto" else float(str(value))
 
 
-SYNTH_DEFAULTS = dict(
-    d=10, N=4, r1=2, r2=2, n=200, global_std=1.0, local_std=10.0, noise_std=0.0,
-    theta=None, groups=None, score_dist="gaussian", seed=0, fmt="csv",
-    header=False, out="synth-out",
+def _as_given(parse):
+    """Option type that rejects what ``parse`` rejects but keeps the value as
+    written, which the manifest records; the command parses it."""
+    @functools.wraps(parse)
+    def check(value):
+        parse(value)
+        return value
+    return check
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: the flag's value, else the config file's, else ``default``."""
+
+    dest: str
+    commands: str  # the commands that read it, space-separated
+    default: object = None  # a dict holds one default per command
+    type: object = str  # converts flag text, and config strings, to the value
+    choices: tuple = None
+    help: str = None
+    flag: str = None  # "--" + dest with "-" for "_" unless given
+    action: str = "store"  # or "switch" (a bare flag meaning true) or "append"
+
+    def add_to(self, parser):
+        kwargs = dict(action="store_const", const=True) if self.action == "switch" else dict(
+            action=self.action, type=self.type, choices=self.choices)
+        parser.add_argument(self.flag or "--" + self.dest.replace("_", "-"),
+                            dest=self.dest, help=self.help, **kwargs)
+
+    def from_config(self, value):
+        """A config-file value, checked as the flag's would be."""
+        if self.action == "switch":
+            if not isinstance(value, bool):
+                raise ValueError(f"expected true or false, got {value!r}")
+            return value
+        if self.action == "append":
+            return [self._convert(v) for v in (value if isinstance(value, list) else [value])]
+        return self._convert(value)
+
+    def _convert(self, value):
+        # a string is read as flag text; any other JSON value must be one the
+        # conversion keeps: 7 for an int, not 7.5 or true
+        converted = self.type(value)
+        if not isinstance(value, str) and (
+                converted != value or isinstance(converted, bool) != isinstance(value, bool)):
+            raise ValueError(f"invalid {self.type.__name__} value: {value!r}")
+        if self.choices is not None and converted not in self.choices:
+            raise ValueError(f"invalid choice: {converted!r} (choose from "
+                             f"{', '.join(map(repr, self.choices))})")
+        return converted
+
+
+COMMANDS = {
+    "synth": "generate planted-truth client datasets",
+    "fit": "run the federated solver on client data files",
+    "baseline": "one-shot baselines on client data files",
+    "bench": "run a benchmark scenario grid",
+    "eval": "evaluate saved components on data files",
+    "cluster": "cluster clients from saved local frames",
+    "check": "run the numerical verification suites",
+}
+TAKES_DATA = ("fit", "baseline", "eval")  # commands with positional data files
+
+OPTIONS = (
+    Option("seed", "synth fit baseline bench cluster check", 0, int, help="root seed"),
+    Option("out", "synth fit baseline bench eval cluster",
+           {"synth": "synth-out", "fit": "fit-out", "baseline": "baseline-out",
+            "bench": "bench-out", "eval": None, "cluster": "cluster-out"},
+           help="output directory (eval: JSON report file; the report is always printed)"),
+    Option("fmt", "synth fit baseline", "csv", choices=("csv", "bin"), flag="--format"),
+    Option("header", "synth fit baseline eval", False, action="switch", help="header line"),
+    Option("center", "fit baseline eval", False, action="switch", help="subtract client means"),
+    Option("d", "synth", 10, int, help="ambient dimension"),
+    Option("N", "synth", 4, int, help="number of clients"),
+    Option("r1", "synth fit baseline", 2, int, help="shared components"),
+    Option("r2", "synth", 2, int, help="local components per client"),
+    Option("r2", "fit baseline", 2, _as_given(_int_list), help="int or comma list per client"),
+    Option("n", "synth", 200, _as_given(_int_list), help="observations per client (int or list)"),
+    Option("global_std", "synth", 1.0, float, help="score std of the shared components"),
+    Option("local_std", "synth", 10.0, float, help="score std of the local components"),
+    Option("noise_std", "synth", 0.0, float, help="std of the isotropic noise"),
+    Option("theta", "synth", None, float, help="target heterogeneity (N=2, r2=1)"),
+    Option("groups", "synth", None, int, help="number of client groups sharing locals"),
+    Option("score_dist", "synth", "gaussian", choices=("gaussian", "rademacher")),
+    Option("rounds", "fit", 200, int, help="communication rounds"),
+    Option("eta", "fit", "auto", _as_given(_stepsize), help="stepsize: positive float or 'auto'"),
+    Option("choice", "fit", 1, int, choices=(1, 2), help="1: tangent step, 2: joint polar step"),
+    Option("retraction", "fit", "polar", choices=("polar", "qr")),
+    Option("init", "fit", "distpca", choices=("distpca", "random")),
+    Option("stepsize_scale", "fit", 0.5, float, help="c of the automatic stepsize"),
+    Option("stop_tol", "fit", None, float, help="early stop on subspace error (needs --truth)"),
+    Option("truth", "fit eval", None, help="directory with truth_U / truth_V_<i> files"),
+    Option("method", "baseline", "distpca", choices=("distpca", "indiv", "cpca")),
+    Option("scenario", "bench", "error-vs-n", choices=tuple(sorted(bench.SCENARIOS))),
+    Option("repeats", "bench", None, int, help="seeds per grid point (default: the scenario's)"),
+    Option("components", "eval cluster", "fit-out", help="directory with U / V_<i> files"),
+    Option("k", "cluster", 2, int, help="number of clusters"),
+    Option("suite", "check", None, choices=tuple(sorted(checks.ALL_SUITES)), action="append"),
 )
+
+
+def _options_of(command):
+    return [option for option in OPTIONS if command in option.commands.split()]
+
+
+def _read_config(path, options):
+    """The config file's values, each checked as its flag would be; null means the default."""
+    if not path:
+        return {}
+    config = json.loads(Path(path).read_text())
+    by_dest = {option.dest: option for option in options}
+    unknown = set(config) - set(by_dest)
+    if unknown:
+        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+    checked = {}
+    for key, value in config.items():
+        try:
+            if value is not None:
+                checked[key] = by_dest[key].from_config(value)
+        except (TypeError, ValueError) as exc:
+            raise SystemExit(f"config key {key!r}: {exc}") from None
+    return checked
+
+
+def _resolve(args):
+    """Each option of ``args.command``: its flag, else the config file, else its default."""
+    options = _options_of(args.command)
+    config = _read_config(args.config, options)
+    opt = {}
+    for option in options:
+        default = option.default
+        if isinstance(default, dict):
+            default = default[args.command]
+        flag = getattr(args, option.dest)
+        opt[option.dest] = flag if flag is not None else config.get(option.dest, default)
+    return opt
 
 
 def cmd_synth(args):
     t0 = time.time()
-    opt = _merged(args, SYNTH_DEFAULTS)
-    n = _parse_r2(opt["n"])
+    opt = _resolve(args)
     spec = synth.GenerativeSpec(
         d=opt["d"], N=opt["N"], r1=opt["r1"], r2=opt["r2"],
-        n_per_client=n if isinstance(n, list) else int(n),
+        n_per_client=_int_list(opt["n"]),
         global_score_std=opt["global_std"], local_score_std=opt["local_std"],
         noise_std=opt["noise_std"], theta_target=opt["theta"],
         score_dist=opt["score_dist"], seed=opt["seed"],
-        groups=_spread_groups(opt["groups"], opt["N"]),
+        groups=None if opt["groups"] is None else [
+            i * opt["groups"] // opt["N"] for i in range(opt["N"])],
     )
     truth = synth.generate_components(spec)
     datasets = synth.generate_observations(truth, spec)
@@ -74,31 +195,13 @@ def cmd_synth(args):
     outputs += fileio.save_components(out, truth.U_true, truth.V_true,
                                       fmt=opt["fmt"], prefix="truth_")
     manifest = fileio.write_manifest(
-        out, "synth", _public_flags(opt), outputs=outputs,
+        out, "synth", opt, outputs=outputs,
         metrics={"theta_actual": truth.theta_actual, "eigengap": truth.eigengap,
                  "groups": truth.groups},
         wall_time_s=time.time() - t0,
     )
     print(f"wrote {len(outputs)} files and {manifest}")
     return 0
-
-
-def _spread_groups(groups, n_clients):
-    if groups is None:
-        return None
-    g = int(groups)
-    return [i * g // n_clients for i in range(n_clients)]
-
-
-def _public_flags(opt):
-    return {k: v for k, v in opt.items() if not k.startswith("_")}
-
-
-FIT_DEFAULTS = dict(
-    rounds=200, eta="auto", choice=1, retraction="polar", init="distpca",
-    r1=2, r2=2, seed=0, truth=None, center=False, stepsize_scale=0.5,
-    stop_tol=None, fmt="csv", header=False, out="fit-out",
-)
 
 
 def _load_datasets(paths, opt):
@@ -114,13 +217,12 @@ def _load_inputs(paths, opt):
 
 def cmd_fit(args):
     t0 = time.time()
-    opt = _merged(args, FIT_DEFAULTS)
+    opt = _resolve(args)
     data_paths, datasets, covs = _load_inputs(args.data, opt)
-    eta = opt["eta"]
     config = solver.SolverConfig(
-        r1=opt["r1"], r2=_parse_r2(opt["r2"]), rounds=opt["rounds"],
-        stepsize="auto" if eta == "auto" else float(eta),
-        choice=int(opt["choice"]), retraction=opt["retraction"], init=opt["init"],
+        r1=opt["r1"], r2=_int_list(opt["r2"]), rounds=opt["rounds"],
+        stepsize=_stepsize(opt["eta"]), choice=opt["choice"],
+        retraction=opt["retraction"], init=opt["init"],
         seed=opt["seed"], stepsize_scale=opt["stepsize_scale"],
         stop_subspace_tol=opt["stop_tol"],
     )
@@ -146,24 +248,18 @@ def cmd_fit(args):
                                        for a, b in zip(trace, trace[1:])),
         }
     manifest = fileio.write_manifest(
-        out, "fit", _public_flags(opt), inputs=data_paths, outputs=outputs,
+        out, "fit", opt, inputs=data_paths, outputs=outputs,
         metrics=final, wall_time_s=time.time() - t0,
     )
     print(f"fit finished in {len(trace)} recorded rounds; wrote {manifest}")
     return 0
 
 
-BASELINE_DEFAULTS = dict(
-    method="distpca", r1=2, r2=2, seed=0, center=False, fmt="csv",
-    header=False, out="baseline-out",
-)
-
-
 def cmd_baseline(args):
     t0 = time.time()
-    opt = _merged(args, BASELINE_DEFAULTS)
+    opt = _resolve(args)
     data_paths, datasets, covs = _load_inputs(args.data, opt)
-    r2 = _parse_r2(opt["r2"])
+    r2 = _int_list(opt["r2"])
     r2_list = r2 if isinstance(r2, list) else [r2] * len(covs)
     out = Path(opt["out"])
     if opt["method"] == "distpca":
@@ -172,29 +268,22 @@ def cmd_baseline(args):
     elif opt["method"] == "indiv":
         frames = baselines.indiv_pca(covs, opt["r1"] + max(r2_list))
         outputs = fileio.save_components(out, None, frames, fmt=opt["fmt"])
-    elif opt["method"] == "cpca":
+    else:
         counts = [Y.shape[1] for Y in datasets]
         frame = baselines.central_pca(covs, counts, opt["r1"] + max(r2_list))
         outputs = fileio.save_components(out, frame, None, fmt=opt["fmt"])
-    else:
-        raise SystemExit(f"unknown baseline method {opt['method']!r}")
     manifest = fileio.write_manifest(
-        out, "baseline", _public_flags(opt), inputs=data_paths, outputs=outputs,
+        out, "baseline", opt, inputs=data_paths, outputs=outputs,
         wall_time_s=time.time() - t0,
     )
     print(f"baseline {opt['method']} wrote {len(outputs)} files and {manifest}")
     return 0
 
 
-BENCH_DEFAULTS = dict(scenario="error-vs-n", repeats=None, seed=0, out="bench-out")
-
-
 def cmd_bench(args):
     t0 = time.time()
-    opt = _merged(args, BENCH_DEFAULTS)
+    opt = _resolve(args)
     name = opt["scenario"]
-    if name not in bench.SCENARIOS:
-        raise SystemExit(f"unknown scenario {name!r}; choose from {sorted(bench.SCENARIOS)}")
     kwargs = {"seed0": opt["seed"]}
     if opt["repeats"] is not None:
         kwargs["repeats"] = opt["repeats"]
@@ -203,19 +292,14 @@ def cmd_bench(args):
     out.mkdir(parents=True, exist_ok=True)
     report = out / f"{name}.csv"
     report.write_text(bench.format_csv(rows))
-    fileio.write_manifest(out, "bench", _public_flags(opt), outputs=[report],
+    fileio.write_manifest(out, "bench", opt, outputs=[report],
                           wall_time_s=time.time() - t0)
     print(f"wrote {report} ({len(rows)} rows, {time.time() - t0:.1f}s)")
     return 0
 
 
-EVAL_DEFAULTS = dict(
-    components="fit-out", truth=None, center=False, header=False, fmt="csv", out=None,
-)
-
-
 def cmd_eval(args):
-    opt = _merged(args, EVAL_DEFAULTS)
+    opt = _resolve(args)
     _, datasets = _load_datasets(args.data, opt)
     U, V = fileio.load_components(opt["components"])
     per_client = []
@@ -245,12 +329,9 @@ def cmd_eval(args):
     return 0
 
 
-CLUSTER_DEFAULTS = dict(components="fit-out", k=2, seed=0, out="cluster-out")
-
-
 def cmd_cluster(args):
     t0 = time.time()
-    opt = _merged(args, CLUSTER_DEFAULTS)
+    opt = _resolve(args)
     _, V = fileio.load_components(opt["components"])
     if len(V) < 2:
         raise SystemExit(f"need at least two local frames in {opt['components']}")
@@ -263,7 +344,7 @@ def cmd_cluster(args):
     labels_path.write_text(
         "client,label\n" + "\n".join(f"{i},{int(l)}" for i, l in enumerate(labels)) + "\n"
     )
-    fileio.write_manifest(out, "cluster", _public_flags(opt),
+    fileio.write_manifest(out, "cluster", opt,
                           outputs=[rho_path, labels_path],
                           metrics={"labels": [int(l) for l in labels]},
                           wall_time_s=time.time() - t0)
@@ -271,11 +352,8 @@ def cmd_cluster(args):
     return 0
 
 
-CHECK_DEFAULTS = dict(seed=0, suite=None)
-
-
 def cmd_check(args):
-    opt = _merged(args, CHECK_DEFAULTS)
+    opt = _resolve(args)
     names = opt["suite"] if opt["suite"] else None
     reports = checks.run_suites(names, seed=opt["seed"])
     for report in reports:
@@ -284,85 +362,25 @@ def cmd_check(args):
 
 
 def build_parser():
+    """The ``perpca`` parser, built from :data:`COMMANDS` and :data:`OPTIONS`.
+
+    Each subcommand dispatches to the ``cmd_<name>`` attribute of this
+    module as it is when the parser is built.
+    """
     parser = argparse.ArgumentParser(
         prog="perpca",
         description="shared and client-specific principal components from "
                     "heterogeneous datasets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate planted-truth client datasets")
-    _add_common(p)
-    p.add_argument("--d", type=int, help="ambient dimension")
-    p.add_argument("--N", type=int, help="number of clients")
-    p.add_argument("--r1", type=int, help="shared components")
-    p.add_argument("--r2", type=int, help="local components per client")
-    p.add_argument("--n", help="observations per client (int or comma list)")
-    p.add_argument("--global-std", type=float, dest="global_std")
-    p.add_argument("--local-std", type=float, dest="local_std")
-    p.add_argument("--noise-std", type=float, dest="noise_std")
-    p.add_argument("--theta", type=float, help="target heterogeneity (N=2, r2=1)")
-    p.add_argument("--groups", type=int, help="number of client groups sharing locals")
-    p.add_argument("--score-dist", choices=["gaussian", "rademacher"], dest="score_dist")
-    p.add_argument("--header", action="store_const", const=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("fit", help="run the federated solver on client data files")
-    _add_common(p)
-    p.add_argument("data", nargs="+", help="client data files or directories")
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--eta", help="stepsize: positive float or 'auto'")
-    p.add_argument("--choice", type=int, choices=[1, 2])
-    p.add_argument("--retraction", choices=["polar", "qr"])
-    p.add_argument("--init", choices=["distpca", "random"])
-    p.add_argument("--r1", type=int)
-    p.add_argument("--r2", help="local rank (int or comma list per client)")
-    p.add_argument("--truth", help="directory with truth_U / truth_V_<i> files")
-    p.add_argument("--center", action="store_const", const=True,
-                   help="subtract per-client mean observation")
-    p.add_argument("--stepsize-scale", type=float, dest="stepsize_scale")
-    p.add_argument("--stop-tol", type=float, dest="stop_tol",
-                   help="early stop on subspace error (needs --truth)")
-    p.add_argument("--header", action="store_const", const=True)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("baseline", help="one-shot baselines on client data files")
-    _add_common(p)
-    p.add_argument("data", nargs="+")
-    p.add_argument("--method", choices=["distpca", "indiv", "cpca"])
-    p.add_argument("--r1", type=int)
-    p.add_argument("--r2")
-    p.add_argument("--center", action="store_const", const=True)
-    p.add_argument("--header", action="store_const", const=True)
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser("bench", help="run a benchmark scenario grid")
-    _add_common(p)
-    p.add_argument("--scenario", choices=sorted(bench.SCENARIOS))
-    p.add_argument("--repeats", type=int)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("eval", help="evaluate saved components on data files")
-    _add_common(p)
-    p.add_argument("data", nargs="+")
-    p.add_argument("--components", help="directory with U / V_<i> files")
-    p.add_argument("--truth", help="directory with truth components")
-    p.add_argument("--center", action="store_const", const=True)
-    p.add_argument("--header", action="store_const", const=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("cluster", help="cluster clients from saved local frames")
-    _add_common(p)
-    p.add_argument("--components")
-    p.add_argument("--k", type=int, help="number of clusters")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("check", help="run the numerical verification suites")
-    _add_common(p)
-    p.add_argument("--suite", action="append", choices=sorted(checks.ALL_SUITES),
-                   help="run only this suite (repeatable)")
-    p.set_defaults(func=cmd_check)
-
+    for command, help_text in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=globals()[f"cmd_{command}"])
+        if command in TAKES_DATA:
+            p.add_argument("data", nargs="+", help="client data files or directories")
+        p.add_argument("--config", help="JSON file with defaults for this command")
+        for option in _options_of(command):
+            option.add_to(p)
     return parser
 
 

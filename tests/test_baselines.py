@@ -14,25 +14,33 @@ def _psd(d, rng, scale=1.0):
     return scale * (M @ M.T) / (d + 2)
 
 
+def _rayleigh(S, F):
+    """Rayleigh quotients diag(F^T S F): the eigenvalues of eigenvector columns."""
+    return np.diag(F.T @ S @ F)
+
+
 class TestTopEigvecs:
     def test_diagonal(self):
-        basis = baselines.top_eigvecs(np.diag([3.0, 2.0, 1.0]), 2)
-        assert np.allclose(basis.values, [3.0, 2.0], atol=1e-12)
-        assert np.allclose(np.abs(basis.vectors), np.eye(3)[:, :2], atol=1e-12)
-        assert np.all(basis.vectors[[0, 1], [0, 1]] > 0)  # sign convention
+        S = np.diag([3.0, 2.0, 1.0])
+        F = baselines.top_eigvecs(S, 2)
+        assert np.allclose(_rayleigh(S, F), [3.0, 2.0], atol=1e-12)
+        assert np.allclose(np.abs(F), np.eye(3)[:, :2], atol=1e-12)
+        assert np.all(F[[0, 1], [0, 1]] > 0)  # sign convention
 
     def test_identity_degenerate(self):
-        basis = baselines.top_eigvecs(np.eye(4), 3)
-        assert np.allclose(basis.values, 1.0, atol=1e-12)
-        assert stiefel.is_orthonormal(basis.vectors)
+        F = baselines.top_eigvecs(np.eye(4), 3)
+        assert np.allclose(_rayleigh(np.eye(4), F), 1.0, atol=1e-12)
+        assert stiefel.is_orthonormal(F)
 
     def test_residual_oracle(self):
         S = _psd(6, _rng(1))
-        basis = baselines.top_eigvecs(S, 4)
+        F = baselines.top_eigvecs(S, 4)
+        values = _rayleigh(S, F)
         for j in range(4):
-            v = basis.vectors[:, j]
-            assert np.linalg.norm(S @ v - basis.values[j] * v) < 1e-8
-        assert np.all(np.diff(basis.values) <= 1e-12)
+            v = F[:, j]
+            assert np.linalg.norm(S @ v - values[j] * v) < 1e-8
+        assert np.all(np.diff(values) <= 1e-12)
+        assert np.allclose(values, np.linalg.eigvalsh(S)[::-1][:4], atol=1e-12)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -40,8 +48,8 @@ class TestTopEigvecs:
 
     def test_deterministic_signs(self):
         S = _psd(5, _rng(2))
-        a = baselines.top_eigvecs(S, 3).vectors
-        b = baselines.top_eigvecs(S.copy(), 3).vectors
+        a = baselines.top_eigvecs(S, 3)
+        b = baselines.top_eigvecs(S.copy(), 3)
         assert np.array_equal(a, b)
 
 
@@ -49,7 +57,7 @@ class TestDistpca:
     def test_single_client_equals_spectral_truncation(self):
         S = _psd(7, _rng(3))
         state = baselines.distpca([S], r1=2, r2_list=[3])
-        full = baselines.top_eigvecs(S, 5).vectors
+        full = baselines.top_eigvecs(S, 5)
         assert stiefel.subspace_distance(state.U, full[:, :2]) < 1e-16
         assert stiefel.subspace_distance(state.V[0], full[:, 2:]) < 1e-16
 
@@ -98,7 +106,7 @@ class TestIndivAndCentral:
     def test_indiv_single_client(self):
         S = _psd(5, _rng(6))
         frames = baselines.indiv_pca([S], 3)
-        assert np.array_equal(frames[0], baselines.top_eigvecs(S, 3).vectors)
+        assert np.array_equal(frames[0], baselines.top_eigvecs(S, 3))
 
     def test_indiv_disjoint_spectra(self):
         S1 = np.diag([5.0, 1.0, 0.0, 0.0])
@@ -110,14 +118,14 @@ class TestIndivAndCentral:
     def test_central_equal_clients(self):
         S = _psd(6, _rng(7))
         pooled = baselines.central_pca([S, S.copy()], [10, 10], 3)
-        own = baselines.top_eigvecs(S, 3).vectors
+        own = baselines.top_eigvecs(S, 3)
         assert stiefel.subspace_distance(pooled, own) < 1e-12
 
     def test_central_dominant_client_limit(self):
         rng = _rng(8)
         S1, S2 = _psd(5, rng), _psd(5, rng)
         pooled = baselines.central_pca([S1, S2], [10**6, 1], 2)
-        own = baselines.top_eigvecs(S1, 2).vectors
+        own = baselines.top_eigvecs(S1, 2)
         assert stiefel.subspace_distance(pooled, own) < 1e-8
 
     def test_central_residual_oracle(self):
@@ -126,7 +134,7 @@ class TestIndivAndCentral:
         counts = [5, 10, 15]
         pooled_cov = sum(n * S for n, S in zip(counts, covs)) / 30
         frame = baselines.central_pca(covs, counts, 2)
-        vals = baselines.top_eigvecs(pooled_cov, 2).values
+        vals = _rayleigh(pooled_cov, baselines.top_eigvecs(pooled_cov, 2))
         for j in range(2):
             v = frame[:, j]
             assert np.linalg.norm(pooled_cov @ v - vals[j] * v) < 1e-8

@@ -71,3 +71,44 @@ def test_fit_convergence_slope_ignores_floor():
     gaps = np.concatenate([10.0 ** -(0.1 * np.arange(100)), np.full(100, 1e-16)])
     slope = bench.fit_convergence_slope(gaps)
     assert slope == pytest.approx(-0.1, abs=1e-3)
+
+
+_METHODS = ("perpca", "indivpca", "cpca", "distpca", "truth")
+
+
+@pytest.mark.parametrize("scenario, kwargs, grid, layout, extra", [
+    ("error-vs-n", dict(repeats=1, ns=(100, 300), n_clients=10, rounds=40), "n",
+     [(m, "subspace_error", n) for n in (100, 300) for m in ("perpca", "distpca")],
+     ["N", "d", "median", "n", "r1", "r2"]),
+    ("error-vs-d", dict(repeats=1, ds=(6, 9), n=400, n_clients=6, rounds=40), "d",
+     [(m, "subspace_error", d) for d in (6, 9) for m in ("perpca", "distpca")],
+     ["N", "d", "median", "n", "r1", "r2"]),
+    ("error-vs-N", dict(repeats=2, Ns=(4, 8), n=300, rounds=60), "N",
+     [("perpca", m, N) for N in (4, 8) for m in ("subspace_error", "shared_subspace_error")],
+     ["N", "d", "median", "n", "r1", "r2"]),
+    ("theta-sweep", dict(repeats=3, thetas=(0.05, 0.3), rounds=120), "theta",
+     [("perpca", m, t) for t in (0.05, 0.3) for m in ("convergence_slope", "final_log10_gap")],
+     ["N", "d", "median", "n", "r1", "r2", "theta"]),
+    ("knowledge-sharing", dict(repeats=1, n_clients=10, rounds=60, n_test=200), "n",
+     [(m, "test_reconstruction_error", 100, g) for g in ("rich", "sparse") for m in _METHODS],
+     ["N", "d", "group", "median", "n", "r1", "r2"]),
+])
+def test_row_layout(scenario, kwargs, grid, layout, extra):
+    rows = bench.SCENARIOS[scenario](**kwargs)
+    got = [(r["method"], r["metric"], r[grid], *([r["group"]] if "group" in r else []))
+           for r in rows]
+    assert got == layout
+    assert bench.format_csv(rows).splitlines()[0].split(",") == [
+        "scenario", "method", "metric", "mean", "std", "repeats", *extra]
+    assert {r["scenario"] for r in rows} == {scenario}
+    assert {r["repeats"] for r in rows} == {kwargs["repeats"]}
+    # the planted instance's shape, as passed or implied by the arguments
+    if scenario == "error-vs-d":
+        assert [(r["d"], r["r2"]) for r in rows] == [(6, 2), (6, 2), (9, 4), (9, 4)]
+    if scenario == "theta-sweep":
+        assert {(r["n"], r["d"], r["N"], r["r1"], r["r2"]) for r in rows} == {(500, 3, 2, 1, 1)}
+
+
+def test_zero_repeats_rejected():
+    with pytest.raises(ValueError, match="repeats must be >= 1"):
+        bench.error_vs_n(repeats=0, ns=(100,), n_clients=4, rounds=5)

@@ -1,4 +1,8 @@
 import json
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -234,3 +238,88 @@ def test_bench_writes_report(tmp_path):
     report = (out / "theta-sweep.csv").read_text().splitlines()
     assert report[0].startswith("scenario,method,metric,mean,std,repeats")
     assert len(report) > 4
+
+
+class TestOptionTable:
+    def test_config_list_r2_runs_like_the_flag(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r2": [1, 2, 1]}))
+        run("fit", synth_dir, "--config", cfg, "--r1", 1, "--rounds", 5,
+            "--out", tmp_path / "config")
+        run("fit", synth_dir, "--r2", "1,2,1", "--r1", 1, "--rounds", 5,
+            "--out", tmp_path / "flag")
+        for name in ("U.csv", "V_1.csv", "trace.csv"):
+            assert (tmp_path / "config" / name).read_bytes() == (
+                tmp_path / "flag" / name).read_bytes()
+
+    def test_config_string_is_read_as_flag_text(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rounds": "7"}))
+        out = tmp_path / "fit"
+        run("fit", synth_dir, "--config", cfg, "--r1", 1, "--r2", 1, "--out", out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["flags"]["rounds"] == 7
+        assert manifest["metrics"]["rounds_run"] == 7
+
+    def test_config_suite_string_runs_that_suite(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "arrowhead"}))
+        assert run("check", "--config", cfg) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("PASS arrowhead")
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (["baseline", "DATA"], {"method": "pca"}, "method"),
+        (["bench"], {"scenario": "error-vs-x"}, "scenario"),
+        (["fit", "DATA"], {"rounds": 7.5}, "rounds"),
+        (["fit", "DATA"], {"rounds": True}, "rounds"),
+        (["fit", "DATA"], {"eta": "fast"}, "eta"),
+        (["fit", "DATA"], {"r2": [1, "x"]}, "r2"),
+        (["fit", "DATA"], {"center": "yes"}, "center"),
+        (["check"], {"suite": ["arrowhead", "nope"]}, "suite"),
+    ])
+    def test_bad_config_value_exits_naming_the_key(self, synth_dir, tmp_path, argv,
+                                                   config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [synth_dir if a == "DATA" else a for a in argv]
+        with pytest.raises(SystemExit, match=f"^config key '{key}': "):
+            run(*argv, "--config", cfg)
+
+    def test_config_key_of_an_ignored_flag_is_unknown(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fmt": "bin"}))
+        with pytest.raises(SystemExit, match=r"unknown config keys: \['fmt'\]"):
+            run("eval", synth_dir, "--config", cfg)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "data", "--seed", "1"],
+        ["eval", "data", "--format", "csv"],
+        ["bench", "--format", "csv"],
+        ["cluster", "--format", "csv"],
+        ["check", "--out", "x"],
+        ["check", "--format", "csv"],
+    ])
+    def test_flags_a_command_ignores_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_main_dispatches_to_the_current_module_attribute(self, monkeypatch):
+        # the benchmark tracer replaces cli.cmd_* between calls
+        seen = []
+        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.suite) or 0)
+        assert run("check", "--suite", "arrowhead") == 0
+        assert seen == [["arrowhead"]]
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        commands = [line for line in "".join(blocks).replace("\\\n", " ").splitlines()
+                    if line.startswith("perpca ")]
+        assert len(commands) >= 7
+        parser = cli.build_parser()
+        for line in commands:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+            assert args.func is getattr(cli, f"cmd_{args.command}")

@@ -95,7 +95,7 @@ class TestClientUpdates:
             r1=2, r2=2, rounds=400, choice=choice, seed=11, record_trace=False
         )
         state, _ = solver.run_perpca([S], config)
-        top4 = baselines.top_eigvecs(S, 4).vectors
+        top4 = baselines.top_eigvecs(S, 4)
         joint = np.concatenate([state.U, state.V[0]], axis=1)
         assert stiefel.subspace_distance(joint, top4) < 1e-10
 
