@@ -13,7 +13,6 @@ manifest; every other command does.
 """
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -41,10 +40,10 @@ def _stepsize(value):
 def _as_given(parse):
     """Option type that rejects what ``parse`` rejects but keeps the value as
     written, which the manifest records; the command parses it."""
-    @functools.wraps(parse)
     def check(value):
         parse(value)
         return value
+    check.__name__ = parse.__name__.strip("_").replace("_", " ")  # for error messages
     return check
 
 
@@ -108,13 +107,15 @@ OPTIONS = (
             "bench": "bench-out", "eval": None, "cluster": "cluster-out"},
            help="output directory (eval: JSON report file; the report is always printed)"),
     Option("fmt", "synth fit baseline", "csv", choices=("csv", "bin"), flag="--format"),
-    Option("header", "synth fit baseline eval", False, action="switch", help="header line"),
+    Option("header", "synth fit baseline eval", False, action="switch",
+           help="files have a header line"),
     Option("center", "fit baseline eval", False, action="switch", help="subtract client means"),
     Option("d", "synth", 10, int, help="ambient dimension"),
     Option("N", "synth", 4, int, help="number of clients"),
     Option("r1", "synth fit baseline", 2, int, help="shared components"),
     Option("r2", "synth", 2, int, help="local components per client"),
-    Option("r2", "fit baseline", 2, _as_given(_int_list), help="int or comma list per client"),
+    Option("r2", "fit baseline", 2, _as_given(_int_list),
+           help="local rank (int or comma list per client)"),
     Option("n", "synth", 200, _as_given(_int_list), help="observations per client (int or list)"),
     Option("global_std", "synth", 1.0, float, help="score std of the shared components"),
     Option("local_std", "synth", 10.0, float, help="score std of the local components"),
