@@ -1,34 +1,33 @@
 """One-shot comparison methods: stacked distributed PCA with deflation,
-per-client PCA, and pooled (centralized) PCA."""
+per-client PCA, and pooled (centralized) PCA. The clients' covariances are
+one checked stack, eigendecomposed by one batched ``eigh`` call."""
 
 import numpy as np
 
+from . import model
 from .errors import DimensionError, SingularityError
-from .model import ComponentState
 
 
 def _fix_signs(vectors):
     # deterministic orientation: largest-magnitude entry of each column positive
-    # (argmax takes the lowest index on ties)
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            out[:, j] = -col
-    return out
+    # (argmax takes the lowest index on ties); slice by slice for a stack
+    peak = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    flip = np.take_along_axis(vectors, peak, axis=-2) < 0
+    return np.where(flip, -vectors, vectors)
 
 
 def top_eigvecs(S, k):
     """Top-k eigenvectors of a symmetric matrix as a d x k frame, in descending
-    eigenvalue order, signs fixed."""
+    eigenvalue order, signs fixed. A stack ``(N, d, d)`` gives the
+    ``(N, d, k)`` stack of the slices' frames."""
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    if S.ndim not in (2, 3) or S.shape[-1] != S.shape[-2]:
         raise DimensionError(f"matrix must be square, got {S.shape}")
-    if not 1 <= k <= S.shape[0]:
-        raise ValueError(f"need 1 <= k <= {S.shape[0]}, got k={k}")
+    if not 1 <= k <= S.shape[-1]:
+        raise ValueError(f"need 1 <= k <= {S.shape[-1]}, got k={k}")
     values, vectors = np.linalg.eigh(S)
-    order = np.argsort(values)[::-1][:k]
-    return _fix_signs(vectors[:, order])
+    order = np.argsort(values, axis=-1)[..., ::-1][..., :k]
+    return _fix_signs(np.take_along_axis(vectors, order[..., None, :], axis=-1))
 
 
 def _as_r2_list(r2, n_clients):
@@ -41,9 +40,10 @@ def _as_r2_list(r2, n_clients):
 
 
 _TIE_BREAK = 1e-6
+_RANK_TOL = 1e-12  # relative eigenvalue floor of the stacked gram's top r1
 
 
-def distpca_global(covs, r1, r2_list, rank_tol=1e-12):
+def distpca_global(covs, r1, r2_list):
     """Server stage of one-shot distributed PCA.
 
     Each client contributes its top (r1 + r2_i) eigenvectors; the stacked
@@ -52,16 +52,17 @@ def distpca_global(covs, r1, r2_list, rank_tol=1e-12):
     ramp: without it the stacked gram of orthonormal frames has exactly
     degenerate eigenvalues and the retained subspace would be
     eigensolver-arbitrary (a single client must reduce to spectral
-    truncation).
+    truncation). Client i keeps the first r1 + r2_i columns of a batched
+    eigendecomposition at rank r1 + max(r2_i).
     """
-    frames = []
-    for S, r2 in zip(covs, r2_list):
-        F = top_eigvecs(S, r1 + r2)
-        frames.append(F * (1.0 - _TIE_BREAK * np.arange(r1 + r2)))
-    stacked = np.concatenate(frames, axis=1)
+    covs = model.covariance_stack(covs)
+    r2_list = _as_r2_list(r2_list, len(covs))
+    width = r1 + max(r2_list)
+    frames = top_eigvecs(covs, width) * (1.0 - _TIE_BREAK * np.arange(width))
+    stacked = np.concatenate([F[:, :r1 + r2] for F, r2 in zip(frames, r2_list)], axis=1)
     gram = stacked @ stacked.T
     values = np.linalg.eigvalsh(gram)
-    if values[-r1] < rank_tol * max(values[-1], 1.0):
+    if values[-r1] < _RANK_TOL * max(values[-1], 1.0):
         raise SingularityError(
             f"stacked client components have rank < {r1}"
         )
@@ -74,29 +75,29 @@ def distpca(covs, r1, r2_list):
     The shared frame comes from :func:`distpca_global`; each client then
     deflates S_i to (I - P_U) S_i (I - P_U) and keeps its top r2_i
     eigenvectors as the local frame, which are orthogonal to U by
-    construction.
+    construction. The clients deflate and decompose as one stack.
     """
+    covs = model.covariance_stack(covs)
     r2_list = _as_r2_list(r2_list, len(covs))
-    d = covs[0].shape[0]
-    for r2 in r2_list:
-        if r1 + r2 > d:
-            raise ValueError(f"r1 + r2 = {r1 + r2} exceeds dimension {d}")
+    d = covs.shape[1]
+    if r1 + max(r2_list) > d:
+        raise ValueError(f"r1 + max(r2) = {r1 + max(r2_list)} exceeds dimension {d}")
     U = distpca_global(covs, r1, r2_list)
-    V = []
-    for S, r2 in zip(covs, r2_list):
-        deflated = S - U @ (U.T @ S)
-        deflated = deflated - (deflated @ U) @ U.T
-        V.append(top_eigvecs((deflated + deflated.T) / 2.0, r2))
-    return ComponentState(U, V).validate()
+    deflated = covs - U @ (U.T @ covs)
+    deflated = deflated - (deflated @ U) @ U.T
+    frames = top_eigvecs((deflated + np.swapaxes(deflated, 1, 2)) / 2.0, max(r2_list))
+    V = [F[:, :r2].copy() for F, r2 in zip(frames, r2_list)]
+    return model.ComponentState(U, V).validate()
 
 
 def indiv_pca(covs, r_total):
     """Per-client top-``r_total`` eigenvectors; no sharing between clients."""
-    return [top_eigvecs(S, r_total) for S in covs]
+    return list(top_eigvecs(model.covariance_stack(covs), r_total))
 
 
 def central_pca(covs, counts, r_total):
     """Top-``r_total`` eigenvectors of the observation-weighted pooled covariance."""
+    covs = model.covariance_stack(covs)
     if len(counts) != len(covs):
         raise DimensionError(f"{len(counts)} counts for {len(covs)} covariances")
     total = float(sum(counts))

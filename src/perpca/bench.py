@@ -16,6 +16,7 @@ import numpy as np
 from . import baselines, metrics, model, solver, stiefel, synth
 
 SCENARIOS = {}
+GAP_FLOOR_REL = 1e-12
 
 
 def _scenario(fn):
@@ -49,14 +50,14 @@ def log_slope(xs, ys):
                             np.log(np.asarray(ys, float)), 1)[0])
 
 
-def fit_convergence_slope(gaps, floor_rel=1e-12):
+def fit_convergence_slope(gaps):
     """Slope (per round) of log10 optimality gap over its decaying stretch.
 
-    Rounds after the gap falls below ``floor_rel`` of its start are
+    Rounds after the gap falls below ``GAP_FLOOR_REL`` of its start are
     excluded so the floating-point floor does not flatten the fit.
     """
     gaps = np.asarray(gaps, dtype=float)
-    floor = max(gaps[0], 1e-300) * floor_rel
+    floor = max(gaps[0], 1e-300) * GAP_FLOOR_REL
     keep = np.nonzero(gaps > floor)[0]
     if keep.size < 10:
         keep = np.arange(min(10, gaps.size))

@@ -237,17 +237,11 @@ def cmd_fit(args):
     outputs.append(fileio.save_trace(out / "trace.csv", trace))
     final = {}
     if trace:
-        final = {
-            "objective": trace[-1].objective,
-            "kkt_global": trace[-1].kkt_global,
-            "kkt_local": trace[-1].kkt_local,
-            "recon_error_mean": trace[-1].recon_error_mean,
-            "subspace_error": trace[-1].subspace_error,
-            "rounds_run": trace[-1].round,
-            # rounds whose objective fell below the previous round's, beyond rounding
-            "objective_decreases": sum(b.objective < a.objective - 1e-12
-                                       for a, b in zip(trace, trace[1:])),
-        }
+        final = trace[-1]._asdict()
+        final["rounds_run"] = final.pop("round")
+        # rounds whose objective fell below the previous round's, beyond rounding
+        final["objective_decreases"] = sum(b.objective < a.objective - 1e-12
+                                           for a, b in zip(trace, trace[1:]))
     manifest = fileio.write_manifest(
         out, "fit", opt, inputs=data_paths, outputs=outputs,
         metrics=final, wall_time_s=time.time() - t0,
@@ -260,8 +254,7 @@ def cmd_baseline(args):
     t0 = time.time()
     opt = _resolve(args)
     data_paths, datasets, covs = _load_inputs(args.data, opt)
-    r2 = _int_list(opt["r2"])
-    r2_list = r2 if isinstance(r2, list) else [r2] * len(covs)
+    r2_list = baselines._as_r2_list(_int_list(opt["r2"]), len(covs))
     out = Path(opt["out"])
     if opt["method"] == "distpca":
         state = baselines.distpca(covs, opt["r1"], r2_list)

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError
+from .solver import RoundTrace
 
 MANIFEST_VERSION = 1
 _FMT = "%.17g"
@@ -297,9 +298,7 @@ def load_components(comp_dir, fmt=None, prefix=""):
 
 def save_trace(path, trace):
     """Trace CSV with one row per round; subspace_error column only when known."""
-    from .solver import RoundTrace
-
-    fields = list(RoundTrace.FIELDS)
+    fields = list(RoundTrace._fields)
     if not trace or trace[0].subspace_error is None:
         fields = fields[:-1]
     lines = [",".join(fields)]

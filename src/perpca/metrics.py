@@ -10,6 +10,11 @@ from . import stacks, stiefel
 from .errors import DimensionError, InvariantError
 from .rng import substream
 
+KMEANS_ITERS = 100
+KMEANS_RESTARTS = 20
+ARROWHEAD_SLACK = 1e-10  # rounding allowance on lambda_max(N B B^T) <= 1
+PROJECTOR_CROSS_TOL = 1e-8
+
 
 def as_truth_pair(truth):
     """Normalize ground truth to a ``(U_true, V_true_list)`` pair."""
@@ -58,7 +63,7 @@ def rho_matrix(V_list):
     return rho
 
 
-def _kmeans_once(X, k, rng, iters=100):
+def _kmeans_once(X, k, rng):
     n = X.shape[0]
     # k-means++ seeding
     centers = np.empty((k, X.shape[1]))
@@ -72,7 +77,7 @@ def _kmeans_once(X, k, rng, iters=100):
             centers[j] = X[rng.choice(n, p=dist2 / total)]
         dist2 = np.minimum(dist2, np.sum((X - centers[j]) ** 2, axis=1))
     labels = np.zeros(n, dtype=int)
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         for j in range(k):
@@ -101,12 +106,12 @@ def _canonical_labels(labels):
     return out
 
 
-def spectral_cluster(rho, k, seed=0, restarts=20):
+def spectral_cluster(rho, k, seed=0):
     """Cluster clients from their pairwise local-subspace distances.
 
     Gaussian affinity with the median off-diagonal distance as bandwidth,
     symmetric normalized Laplacian, bottom-k eigenvectors, seeded k-means
-    with ``restarts`` restarts keeping the best inertia. Labels are
+    with ``KMEANS_RESTARTS`` restarts keeping the best inertia. Labels are
     relabeled in order of first appearance, so the output is deterministic
     given (rho, k, seed).
     """
@@ -127,7 +132,7 @@ def spectral_cluster(rho, k, seed=0, restarts=20):
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     emb = emb / np.where(norms > 0, norms, 1.0)
     best_labels, best_inertia = None, np.inf
-    for trial in range(restarts):
+    for trial in range(KMEANS_RESTARTS):
         labels, inertia = _kmeans_once(emb, k, substream(seed, "kmeans", trial))
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
@@ -174,7 +179,7 @@ def arrowhead_min_eig_bound(theta):
     return float(out) if out.ndim == 0 else out
 
 
-def arrowhead_min_eig(B, N, slack=1e-10):
+def arrowhead_min_eig(B, N):
     """Minimum eigenvalue of the conjugated block-arrowhead quadratic form.
 
     For a block B (m x N*m) with N B B^T <= (1 - theta) I, builds
@@ -194,7 +199,7 @@ def arrowhead_min_eig(B, N, slack=1e-10):
         raise DimensionError(f"block must be m x N*m, got {B.shape} with N={N}")
     C = N * (B @ B.T)
     lam_max = float(np.linalg.eigvalsh(C)[-1])
-    if lam_max > 1.0 + slack:
+    if lam_max > 1.0 + ARROWHEAD_SLACK:
         raise ValueError(f"N B B^T exceeds the identity: lambda_max = {lam_max:.6f}")
     theta = min(1.0, max(0.0, 1.0 - lam_max))
     root_n = np.sqrt(N)
@@ -208,14 +213,14 @@ def arrowhead_min_eig(B, N, slack=1e-10):
     return lam_min, arrowhead_min_eig_bound(theta)
 
 
-def _require_projector_pair(P_u, P_v, tol, who):
+def _require_projector_pair(P_u, P_v, who):
     if P_u.shape != P_v.shape or P_u.shape[0] != P_u.shape[1]:
         raise DimensionError(f"{who}: projectors must be square and equal-shaped")
-    if np.max(np.abs(P_u @ P_v)) > tol:
+    if np.max(np.abs(P_u @ P_v)) > PROJECTOR_CROSS_TOL:
         raise InvariantError(f"{who}: projectors are not cross-orthogonal")
 
 
-def direct_sum_closeness_bounds(P_u, P_v_list, P_u_star, P_v_star_list, tol=1e-8):
+def direct_sum_closeness_bounds(P_u, P_v_list, P_u_star, P_v_star_list):
     """Bracket the direct-sum subspace gap by the individual-subspace gaps.
 
     For cross-orthogonal projector families (P_u, P_vi) and a reference
@@ -240,8 +245,8 @@ def direct_sum_closeness_bounds(P_u, P_v_list, P_u_star, P_v_star_list, tol=1e-8
     for i in range(n):
         P_v = np.asarray(P_v_list[i], dtype=float)
         P_v_star = np.asarray(P_v_star_list[i], dtype=float)
-        _require_projector_pair(P_u, P_v, tol, f"client {i}")
-        _require_projector_pair(P_u_star, P_v_star, tol, f"client {i} reference")
+        _require_projector_pair(P_u, P_v, f"client {i}")
+        _require_projector_pair(P_u_star, P_v_star, f"client {i} reference")
         r2 = round(float(np.trace(P_v)))
         joint = float(np.sum((P_u + P_v) * (P_u_star + P_v_star)))
         lhs += r1 + r2 - joint

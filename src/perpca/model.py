@@ -46,19 +46,19 @@ class ComponentState:
     def n_clients(self):
         return len(self.V)
 
-    def validate(self, orth_tol=stiefel.ORTH_TOL, cross_tol=CROSS_TOL):
+    def validate(self):
         """Raise unless all orthonormality and cross-orthogonality invariants hold."""
-        stiefel.require_frame(self.U, orth_tol, name="shared frame")
+        stiefel.require_frame(self.U, name="shared frame")
         for i, Vi in enumerate(self.V):
-            stiefel.require_frame(Vi, orth_tol, name=f"local frame {i}")
+            stiefel.require_frame(Vi, name=f"local frame {i}")
             if Vi.shape[0] != self.d:
                 raise DimensionError(
                     f"local frame {i} has {Vi.shape[0]} rows, shared frame has {self.d}"
                 )
             dev = np.max(np.abs(self.U.T @ Vi))
-            if dev > cross_tol:
+            if dev > CROSS_TOL:
                 raise InvariantError(
-                    f"client {i}: shared/local cross product {dev:.3e} exceeds {cross_tol:.1e}"
+                    f"client {i}: shared/local cross product {dev:.3e} exceeds {CROSS_TOL:.1e}"
                 )
         return self
 
@@ -72,15 +72,30 @@ def covariance(Y):
     return (S + S.T) / 2.0
 
 
-def _require_covs(state, covs):
-    if len(covs) != state.n_clients:
-        raise DimensionError(
-            f"{len(covs)} covariances for {state.n_clients} clients"
-        )
-    d = state.d
-    for i, S in enumerate(covs):
-        if S.shape != (d, d):
-            raise DimensionError(f"covariance {i} has shape {S.shape}, expected ({d}, {d})")
+def covariance_stack(covs):
+    """Client covariances as one checked, C-contiguous ``(N, d, d)`` float stack.
+
+    Raises ``DimensionError`` for a shape other than the first one's
+    ``(d, d)`` and ``ValueError`` for no covariances, non-finite entries or
+    asymmetry beyond 1e-8 of the largest entry, naming the first bad client.
+    """
+    if len(covs) == 0:
+        raise ValueError("need at least one client covariance")
+    shapes = [np.shape(S) for S in covs]
+    d = shapes[0][0] if shapes[0] else 0
+    for i, shape in enumerate(shapes):
+        if shape != (d, d):
+            raise DimensionError(f"covariance {i} has shape {shape}, expected ({d}, {d})")
+    stack = np.ascontiguousarray(covs, dtype=float)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"covariance {int(np.argmin(finite))} has non-finite entries")
+    asym = np.max(np.abs(stack - np.swapaxes(stack, 1, 2)), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    bad = np.flatnonzero(asym > 1e-8 * scale)
+    if bad.size:
+        raise ValueError(f"covariance {bad[0]} is not symmetric")
+    return stack
 
 
 class Diagnostics(NamedTuple):
@@ -137,9 +152,11 @@ def diagnostics(U, V, covs, groups):
 
 
 def _diagnostics_of(state, covs):
-    _require_covs(state, covs)
+    covs = covariance_stack(covs)
+    if covs.shape[:2] != (state.n_clients, state.d):
+        raise DimensionError(f"{len(covs)} covariances of shape {covs.shape[1:]} for "
+                             f"{state.n_clients} clients at d={state.d}")
     groups = stacks.rank_groups(state.r2)
-    covs = np.asarray(covs, dtype=float)
     return diagnostics(np.asarray(state.U, dtype=float), stacks.group_stacks(groups, state.V),
                        [covs[clients] for clients in groups], groups)
 
@@ -153,7 +170,7 @@ def objective(state, covs):
     return _diagnostics_of(state, covs).objective
 
 
-def reconstruction_error(Y, U, V=None, cross_tol=CROSS_TOL):
+def reconstruction_error(Y, U, V=None):
     """Mean squared residual (1/n) ||Y - (P_U + P_V) Y||_F^2.
 
     ``V`` may be None when a single frame captures everything retained.
@@ -169,9 +186,9 @@ def reconstruction_error(Y, U, V=None, cross_tol=CROSS_TOL):
         if V.shape[0] != Y.shape[0]:
             raise DimensionError(f"data {Y.shape} and frame {V.shape} disagree on d")
         dev = np.max(np.abs(U.T @ V))
-        if dev > cross_tol:
+        if dev > CROSS_TOL:
             raise InvariantError(
-                f"frames not cross-orthogonal: {dev:.3e} exceeds {cross_tol:.1e}"
+                f"frames not cross-orthogonal: {dev:.3e} exceeds {CROSS_TOL:.1e}"
             )
         fitted = fitted + V @ (V.T @ Y)
     resid = Y - fitted

@@ -28,7 +28,7 @@ ascending client order and equals a client-by-client loop bitwise.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,8 +74,7 @@ class SolverConfig:
         return baselines._as_r2_list(self.r2, n_clients)
 
 
-@dataclass
-class RoundTrace:
+class RoundTrace(NamedTuple):
     """Metrics of the feasible state at the end of one communication round."""
 
     round: int
@@ -85,10 +84,12 @@ class RoundTrace:
     recon_error_mean: float
     subspace_error: Optional[float] = None
 
-    FIELDS = ("round", "objective", "kkt_global", "kkt_local", "recon_error_mean", "subspace_error")
+
+POWER_REL_TOL = 1e-6  # relative eigenvalue change at which a power iteration stops
+POWER_MAX_ITER = 10000
 
 
-def operator_norm(S, rel_tol=1e-6, max_iter=10000):
+def operator_norm(S):
     """Largest eigenvalue of a symmetric PSD matrix by power iteration.
 
     A stack ``(N, d, d)`` gives the ``(N,)`` array of per-slice values. The
@@ -98,7 +99,7 @@ def operator_norm(S, rel_tol=1e-6, max_iter=10000):
     """
     S = np.asarray(S, dtype=float)
     if S.ndim == 2:
-        return float(operator_norm(S[None], rel_tol, max_iter)[0])
+        return float(operator_norm(S[None])[0])
     n, d = S.shape[:2]
     start = 1.0 + 1e-3 * np.arange(d)  # deterministic start, unlikely to miss the top space
     start /= np.linalg.norm(start)
@@ -107,7 +108,7 @@ def operator_norm(S, rel_tol=1e-6, max_iter=10000):
     S_active = S
     v = np.tile(start, (n, 1))
     lam = np.zeros(n)
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = (S_active @ v[..., None])[..., 0]
         norm = np.sqrt((w[:, None, :] @ w[..., None])[:, 0, 0])
         stepped = norm != 0.0
@@ -121,7 +122,7 @@ def operator_norm(S, rel_tol=1e-6, max_iter=10000):
             v[j, k] = 1.0
         v[stepped] = w[stepped] / norm[stepped, None]
         lam_new = (v[:, None, :] @ (S_active @ v[..., None]))[:, 0, 0]
-        converged = stepped & (np.abs(lam_new - lam) <= rel_tol * np.abs(lam_new))
+        converged = stepped & (np.abs(lam_new - lam) <= POWER_REL_TOL * np.abs(lam_new))
         out[active[converged]] = lam_new[converged]
         lam[stepped] = lam_new[stepped]
         keep = ~(converged | finished)
@@ -135,9 +136,7 @@ def operator_norm(S, rel_tol=1e-6, max_iter=10000):
 
 def auto_stepsize(covs, r, scale=0.5):
     """Constant stepsize scale / (G_max * sqrt(r)), G_max the largest operator norm."""
-    if len(covs) == 0:
-        raise ValueError("need at least one covariance")
-    g_max = float(np.max(operator_norm(np.asarray(covs, dtype=float))))
+    g_max = float(np.max(operator_norm(model.covariance_stack(covs))))
     if g_max <= 0.0:
         raise ValueError("all covariances are zero; no scale to derive a stepsize from")
     return scale / (g_max * np.sqrt(r))
@@ -259,27 +258,6 @@ def server_aggregate(U_candidates, U_prev, retraction="polar"):
     return stiefel.RETRACTIONS[retraction](U_prev, mean - U_prev)
 
 
-def _check_covs(covs):
-    """Stack the covariances as one C-contiguous (N, d, d) array, checked."""
-    if len(covs) == 0:
-        raise ValueError("need at least one client covariance")
-    shapes = [np.shape(S) for S in covs]
-    d = shapes[0][0]
-    for i, shape in enumerate(shapes):
-        if shape != (d, d):
-            raise DimensionError(f"covariance {i} has shape {shape}, expected ({d}, {d})")
-    stack = np.ascontiguousarray(covs, dtype=float)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"covariance {int(np.argmin(finite))} has non-finite entries")
-    asym = np.max(np.abs(stack - _mT(stack)), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
-    bad = np.flatnonzero(asym > 1e-8 * scale)
-    if bad.size:
-        raise ValueError(f"covariance {bad[0]} is not symmetric")
-    return stack, d
-
-
 def _each_group(groups, step, message):
     """``[step(g) for g in range(len(groups))]``; a SingularityError names its client.
 
@@ -305,9 +283,8 @@ def run_perpca(covs, config, truth=None):
     Parameters
     ----------
     covs : list of (d, d) ndarray, or one (N, d, d) ndarray
-        Per-client covariance matrices, ascending client order. They must
-        be symmetric and finite; a ValueError names the first client that
-        is not.
+        Per-client covariance matrices, ascending client order, checked by
+        :func:`model.covariance_stack`.
     config : SolverConfig
     truth : optional
         Ground-truth components, either a ``(U_true, V_true_list)`` pair or
@@ -322,7 +299,8 @@ def run_perpca(covs, config, truth=None):
         The final feasible state and one trace record per completed round
         (empty when ``config.record_trace`` is off).
     """
-    covs, d = _check_covs(covs)
+    covs = model.covariance_stack(covs)
+    d = covs.shape[1]
     r2_list = config.r2_list(len(covs))
     if config.r1 + max(r2_list) > d:
         raise ValueError(f"r1 + max(r2) = {config.r1 + max(r2_list)} exceeds dimension {d}")

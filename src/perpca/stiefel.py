@@ -65,7 +65,7 @@ def project_tangent(U, xi):
     return xi - U @ ((sym + sym.T) / 2.0)
 
 
-def _retract(U, xi, factor, margin_name, rank_tol):
+def _retract(U, xi, factor, margin_name):
     # per slice: a zero update returns U, any other is factor(U + xi), which
     # also gives the slice's rank margin
     U, xi = _check_pair(U, xi, stacked=True)
@@ -78,10 +78,10 @@ def _retract(U, xi, factor, margin_name, rank_tol):
         out = U.copy()
         out[moving], margin = factor(U[moving] + xi[moving])
     margin = np.atleast_1d(margin)
-    bad = np.flatnonzero(margin < rank_tol)
+    bad = np.flatnonzero(margin < RANK_TOL)
     if bad.size:
         raise SingularityError(
-            f"rank-deficient update: {margin_name} {margin[bad[0]]:.3e} < {rank_tol:.1e}",
+            f"rank-deficient update: {margin_name} {margin[bad[0]]:.3e} < {RANK_TOL:.1e}",
             index=None if U.ndim == 2 else int(moving[bad[0]]),
         )
     return out
@@ -99,7 +99,7 @@ def _qr_factor(A):
     return Q * signs[..., None, :], np.min(np.abs(diag), axis=-1)
 
 
-def polar_retract(U, xi, rank_tol=RANK_TOL):
+def polar_retract(U, xi):
     """Map U + xi to the nearest frame in Frobenius norm.
 
     Computed through the thin SVD of U + xi (product of its left and right
@@ -109,17 +109,17 @@ def polar_retract(U, xi, rank_tol=RANK_TOL):
     is retracted slice by slice in one batched SVD; a failing slice raises
     with its position as the error's ``index``.
     """
-    return _retract(U, xi, _polar_factor, "smallest singular value", rank_tol)
+    return _retract(U, xi, _polar_factor, "smallest singular value")
 
 
-def qr_retract(U, xi, rank_tol=RANK_TOL):
+def qr_retract(U, xi):
     """Map U + xi to the Q factor of its QR decomposition.
 
     The diagonal of R is forced nonnegative so the result is unique and a
     zero update returns U unchanged. Preserves col(U + xi). Stacks are
     handled as in :func:`polar_retract`.
     """
-    return _retract(U, xi, _qr_factor, "|R| diagonal minimum", rank_tol)
+    return _retract(U, xi, _qr_factor, "|R| diagonal minimum")
 
 
 RETRACTIONS = {"polar": polar_retract, "qr": qr_retract}
@@ -159,14 +159,14 @@ def random_frame(d, r, rng):
     return Q * np.where(np.diagonal(R) < 0, -1.0, 1.0)
 
 
-def orthonormalize(M, rank_tol=RANK_TOL):
+def orthonormalize(M):
     """Orthonormal basis of col(M) via SVD, independent of any retraction.
 
-    Singular values below ``rank_tol`` relative to the largest are dropped.
+    Singular values below ``RANK_TOL`` relative to the largest are dropped.
     """
     M = np.asarray(M, dtype=float)
     left, sing, _ = np.linalg.svd(M, full_matrices=False)
     if sing[0] <= 0.0:
         raise SingularityError("matrix has no numerically nonzero singular values")
-    keep = sing > rank_tol * sing[0]
+    keep = sing > RANK_TOL * sing[0]
     return left[:, keep]

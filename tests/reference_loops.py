@@ -1,4 +1,5 @@
-"""Client-by-client reference implementations of the stacked diagnostics.
+"""Client-by-client reference implementations of the stacked diagnostics
+and baselines.
 
 The package computes these quantities over stacks of clients; the loops
 below compute them one client at a time, in ascending client order, and
@@ -7,8 +8,15 @@ the tests require the package to match them bitwise.
 
 import numpy as np
 
-from perpca import metrics, model
-from perpca.errors import DimensionError
+from perpca import baselines, metrics, model
+from perpca.errors import DimensionError, SingularityError
+
+
+def _checked(state, covs):
+    covs = model.covariance_stack(covs)
+    if covs.shape[:2] != (state.n_clients, state.d):
+        raise DimensionError(f"covariances {covs.shape} for state {state.n_clients} x {state.d}")
+    return covs
 
 
 def _captured(F, S):
@@ -17,7 +25,7 @@ def _captured(F, S):
 
 
 def objective(state, covs):
-    model._require_covs(state, covs)
+    covs = _checked(state, covs)
     total = 0.0
     for S, Vi in zip(covs, state.V):
         total += 0.5 * (_captured(state.U, S) + _captured(Vi, S))
@@ -25,7 +33,7 @@ def objective(state, covs):
 
 
 def mean_reconstruction_error(state, covs):
-    model._require_covs(state, covs)
+    covs = _checked(state, covs)
     errs = [
         float(np.trace(S)) - _captured(state.U, S) - _captured(Vi, S)
         for S, Vi in zip(covs, state.V)
@@ -34,7 +42,7 @@ def mean_reconstruction_error(state, covs):
 
 
 def kkt_residual(state, covs):
-    model._require_covs(state, covs)
+    covs = _checked(state, covs)
     U = state.U
     global_sum = np.zeros_like(U)
     local_res = 0.0
@@ -90,3 +98,47 @@ def diagnostics(state, covs):
     kkt_g, kkt_l = kkt_residual(state, covs)
     return model.Diagnostics(objective(state, covs), kkt_g, kkt_l,
                              mean_reconstruction_error(state, covs))
+
+
+def fix_signs(vectors):
+    """Largest-magnitude entry of each column made positive, column by column."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        if col[np.argmax(np.abs(col))] < 0:
+            out[:, j] = -col
+    return out
+
+
+def top_eigvecs(S, k):
+    """Top-k eigenvectors of one symmetric matrix, descending, signs fixed."""
+    values, vectors = np.linalg.eigh(S)
+    order = np.argsort(values)[::-1][:k]
+    return fix_signs(vectors[:, order])
+
+
+def indiv_pca(covs, r_total):
+    return [top_eigvecs(S, r_total) for S in covs]
+
+
+def distpca_global(covs, r1, r2_list):
+    frames = []
+    for S, r2 in zip(covs, r2_list):
+        F = top_eigvecs(S, r1 + r2)
+        frames.append(F * (1.0 - baselines._TIE_BREAK * np.arange(r1 + r2)))
+    stacked = np.concatenate(frames, axis=1)
+    gram = stacked @ stacked.T
+    values = np.linalg.eigvalsh(gram)
+    if values[-r1] < 1e-12 * max(values[-1], 1.0):
+        raise SingularityError(f"stacked client components have rank < {r1}")
+    return top_eigvecs(gram, r1)
+
+
+def distpca(covs, r1, r2_list):
+    U = distpca_global(covs, r1, r2_list)
+    V = []
+    for S, r2 in zip(covs, r2_list):
+        deflated = S - U @ (U.T @ S)
+        deflated = deflated - (deflated @ U) @ U.T
+        V.append(top_eigvecs((deflated + deflated.T) / 2.0, r2))
+    return model.ComponentState(U, V).validate()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from perpca import baselines, model, stiefel, synth
 from perpca.errors import DimensionError
 
@@ -142,3 +143,72 @@ class TestIndivAndCentral:
     def test_count_mismatch(self):
         with pytest.raises(DimensionError):
             baselines.central_pca([np.eye(3)], [1, 2], 1)
+
+
+def _bitwise_equal(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert a.flags.c_contiguous
+
+
+def _parity_case(name):
+    # (covs, r1, r2_list): planted data, random PSD with mixed ranks, and ties
+    rng = _rng(11)
+    if name == "grid":
+        spec = synth.GenerativeSpec(d=15, N=100, r1=2, r2=3, n_per_client=200, seed=1)
+        truth = synth.generate_components(spec)
+        return [model.covariance(Y) for Y in synth.generate_observations(truth, spec)], 2, [3] * 100
+    if name == "wide":
+        return [_psd(50, rng) for _ in range(20)], 3, [5] * 20
+    if name == "mixed":
+        return [_psd(9, rng) for _ in range(6)], 2, [1, 3, 2, 3, 1, 2]
+    if name == "identity":
+        return [np.eye(6) for _ in range(4)], 1, [2, 2, 3, 1]
+    return [np.diag([3.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0]) for _ in range(3)], 2, [2, 1, 3]
+
+
+class TestStackedBaselines:
+    """The batched baselines against the client-by-client loops, bit for bit."""
+
+    cases = ["grid", "wide", "mixed", "identity", "repeated-diagonal"]
+
+    @pytest.mark.parametrize("name", cases)
+    def test_top_eigvecs_stack_matches_slices(self, name):
+        covs, r1, r2 = _parity_case(name)
+        k = r1 + max(r2)
+        frames = baselines.top_eigvecs(np.stack(covs), k)
+        assert frames.shape == (len(covs), covs[0].shape[0], k)
+        for S, F in zip(covs, frames):
+            _bitwise_equal(F, ref.top_eigvecs(S, k))
+            _bitwise_equal(baselines.top_eigvecs(S, k), ref.top_eigvecs(S, k))
+
+    @pytest.mark.parametrize("name", cases)
+    def test_indiv_and_central_match_loops(self, name):
+        covs, r1, r2 = _parity_case(name)
+        k = r1 + max(r2)
+        frames = baselines.indiv_pca(covs, k)
+        assert isinstance(frames, list) and len(frames) == len(covs)
+        for F, G in zip(frames, ref.indiv_pca(covs, k)):
+            _bitwise_equal(F, G)
+        counts = list(range(1, len(covs) + 1))
+        pooled = sum(n * S for n, S in zip(counts, covs)) / float(sum(counts))
+        _bitwise_equal(baselines.central_pca(covs, counts, k), ref.top_eigvecs(pooled, k))
+
+    @pytest.mark.parametrize("name", cases)
+    def test_distpca_matches_loops(self, name):
+        covs, r1, r2 = _parity_case(name)
+        _bitwise_equal(baselines.distpca_global(covs, r1, r2), ref.distpca_global(covs, r1, r2))
+        state, expected = baselines.distpca(covs, r1, r2), ref.distpca(covs, r1, r2)
+        _bitwise_equal(state.U, expected.U)
+        assert len(state.V) == len(expected.V)
+        for V, W in zip(state.V, expected.V):
+            _bitwise_equal(V, W)
+
+    def test_fix_signs_matches_column_loop(self):
+        # ties in magnitude keep the first index; zero columns stay; stacks go slice by slice
+        vectors = np.array([[-1.0, 1.0, 0.0, -0.5],
+                            [1.0, -1.0, 0.0, 2.0],
+                            [0.5, 0.0, 0.0, -2.0]])
+        _bitwise_equal(baselines._fix_signs(vectors), ref.fix_signs(vectors))
+        stack = np.stack([vectors, -vectors, _rng(12).standard_normal((3, 4))])
+        for out, V in zip(baselines._fix_signs(stack), stack):
+            _bitwise_equal(out, ref.fix_signs(V))

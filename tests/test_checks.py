@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from perpca import checks, metrics
+from perpca import checks, metrics, stiefel
 
 
 def test_retraction_suite_quick():
     report = checks.retraction_suite(trials=100, seed=1)
     assert report.passed, report.detail
+
+
+def test_retraction_suite_checks_every_registered_retraction(monkeypatch):
+    # a registered retraction that ignores its update is not second-order accurate
+    monkeypatch.setitem(stiefel.RETRACTIONS, "frozen", lambda U, xi: U.copy())
+    report = checks.retraction_suite(trials=20, seed=1)
+    assert not report.passed
+    assert report.detail.endswith(", 20 slope violations")
 
 
 def test_arrowhead_suite_quick():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from perpca import cli, fileio
+from perpca.errors import DimensionError
 
 
 def run(*argv):
@@ -152,6 +153,12 @@ class TestBaselineEvalCluster:
             U, V = fileio.load_components(out)
             assert (U is not None) == has_U
             assert len(V) == n_V
+
+    @pytest.mark.parametrize("method", ["distpca", "indiv", "cpca"])
+    def test_baseline_r2_list_needs_one_rank_per_client(self, synth_dir, tmp_path, method):
+        with pytest.raises(DimensionError, match="2 local ranks for 3 clients"):
+            run("baseline", synth_dir, "--method", method, "--r1", 1, "--r2", "1,2",
+                "--out", tmp_path / method)
 
     def test_eval_reports_errors(self, synth_dir, tmp_path, capsys):
         fit_out = tmp_path / "fit"

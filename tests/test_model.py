@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
-from perpca import model, stacks, stiefel
+from perpca import baselines, model, solver, stacks, stiefel
 from perpca.errors import DimensionError, InvariantError
 
 
@@ -42,6 +42,55 @@ class TestCovariance:
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             model.covariance(np.zeros((3, 0)))
+
+
+def _client_one_bad(case):
+    covs = [_random_cov(3, _rng(i)) for i in range(3)]
+    if case == "nan":
+        covs[1][0, 0] = np.nan
+    elif case == "inf":
+        covs[1][1, 2] = covs[1][2, 1] = np.inf
+    elif case == "asymmetric":
+        covs[1][0, 1] += 1.0
+    elif case == "ragged":
+        covs[1] = np.eye(4)
+    else:
+        covs = []
+    return covs
+
+
+_STATE = _random_state(3, 1, 1, 3, _rng(9))
+
+# every public function that takes client covariances
+_TAKES_COVS = {
+    "run_perpca": lambda c: solver.run_perpca(c, solver.SolverConfig(r1=1, r2=1, rounds=2)),
+    "auto_stepsize": lambda c: solver.auto_stepsize(c, 2),
+    "objective": lambda c: model.objective(_STATE, c),
+    "kkt_residual": lambda c: model.kkt_residual(_STATE, c),
+    "mean_reconstruction_error": lambda c: model.mean_reconstruction_error(_STATE, c),
+    "distpca_global": lambda c: baselines.distpca_global(c, 1, [1, 1, 1]),
+    "distpca": lambda c: baselines.distpca(c, 1, 1),
+    "indiv_pca": lambda c: baselines.indiv_pca(c, 2),
+    "central_pca": lambda c: baselines.central_pca(c, [5, 5, 5], 2),
+}
+
+
+class TestCovarianceStack:
+    def test_stack_is_contiguous_float(self):
+        covs = [np.eye(3, dtype=int), 2 * np.eye(3, dtype=int)]
+        stack = model.covariance_stack(covs)
+        assert stack.dtype == float and stack.flags.c_contiguous
+        assert np.array_equal(stack, np.stack(covs))
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "asymmetric", "ragged", "empty"])
+    @pytest.mark.parametrize("name", sorted(_TAKES_COVS))
+    def test_bad_covariances_fail_at_the_boundary(self, name, case):
+        # a package error naming the client, never numpy's LinAlgError or a NaN
+        message = "need at least one client covariance" if case == "empty" else "covariance 1 "
+        with pytest.raises(ValueError, match=message) as info:
+            _TAKES_COVS[name](_client_one_bad(case))
+        assert info.type in (ValueError, DimensionError)
+        assert (info.type is DimensionError) == (case == "ragged")
 
 
 class TestObjective:
