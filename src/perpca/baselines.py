@@ -31,11 +31,12 @@ def top_eigvecs(S, k):
 
 
 def _as_r2_list(r2, n_clients):
-    if np.ndim(r2) == 0:
-        return [int(r2)] * n_clients
-    r2 = [int(v) for v in r2]
+    r2 = [int(r2)] * n_clients if np.ndim(r2) == 0 else [int(v) for v in r2]
     if len(r2) != n_clients:
         raise DimensionError(f"{len(r2)} local ranks for {n_clients} clients")
+    low = [i for i, r in enumerate(r2) if r < 1]
+    if low:
+        raise ValueError(f"client {low[0]}: local rank must be >= 1, got {r2[low[0]]}")
     return r2
 
 

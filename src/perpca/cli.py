@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, bench, checks, fileio, metrics, model, solver, synth
+from . import baselines, bench, checks, fileio, metrics, model, solver, stiefel, synth
 
 
 def _int_list(value):
@@ -122,12 +122,13 @@ OPTIONS = (
     Option("noise_std", "synth", 0.0, float, help="std of the isotropic noise"),
     Option("theta", "synth", None, float, help="target heterogeneity (N=2, r2=1)"),
     Option("groups", "synth", None, int, help="number of client groups sharing locals"),
-    Option("score_dist", "synth", "gaussian", choices=("gaussian", "rademacher")),
+    Option("score_dist", "synth", "gaussian", choices=synth.SCORE_DISTS),
     Option("rounds", "fit", 200, int, help="communication rounds"),
     Option("eta", "fit", "auto", _as_given(_stepsize), help="stepsize: positive float or 'auto'"),
-    Option("choice", "fit", 1, int, choices=(1, 2), help="1: tangent step, 2: joint polar step"),
-    Option("retraction", "fit", "polar", choices=("polar", "qr")),
-    Option("init", "fit", "distpca", choices=("distpca", "random")),
+    Option("choice", "fit", 1, int, choices=solver.CHOICES,
+           help="1: tangent step, 2: joint polar step"),
+    Option("retraction", "fit", "polar", choices=tuple(stiefel.RETRACTIONS)),
+    Option("init", "fit", "distpca", choices=solver.INITS),
     Option("stepsize_scale", "fit", 0.5, float, help="c of the automatic stepsize"),
     Option("stop_tol", "fit", None, float, help="early stop on subspace error (needs --truth)"),
     Option("truth", "fit eval", None, help="directory with truth_U / truth_V_<i> files"),
@@ -227,10 +228,7 @@ def cmd_fit(args):
         seed=opt["seed"], stepsize_scale=opt["stepsize_scale"],
         stop_subspace_tol=opt["stop_tol"],
     )
-    truth = None
-    if opt["truth"]:
-        U_true, V_true = fileio.load_components(opt["truth"], prefix="truth_")
-        truth = (U_true, V_true)
+    truth = fileio.load_components(opt["truth"], prefix="truth_") if opt["truth"] else None
     state, trace = solver.run_perpca(covs, config, truth=truth)
     out = Path(opt["out"])
     outputs = fileio.save_components(out, state.U, state.V, fmt=opt["fmt"])
@@ -310,11 +308,10 @@ def cmd_eval(args):
         "recon_error_mean": float(np.mean(per_client)),
     }
     if opt["truth"]:
-        U_true, V_true = fileio.load_components(opt["truth"], prefix="truth_")
+        truth = fileio.load_components(opt["truth"], prefix="truth_")
         if U is None or not V:
             raise SystemExit("subspace error needs both shared and local components")
-        state = model.ComponentState(U, V)
-        result["subspace_error"] = metrics.subspace_error(state, (U_true, V_true))
+        result["subspace_error"] = metrics.subspace_error(model.ComponentState(U, V), truth)
     text = json.dumps(result, indent=2, sort_keys=True)
     if opt["out"]:
         Path(opt["out"]).parent.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,7 @@ class InvariantError(ValueError):
 
 
 class SingularityError(RuntimeError):
-    """A matrix that must have full column rank does not.
+    """A matrix that must have full column rank does not, or is not finite.
 
     For a stack of matrices, ``index`` is the position of the first failing
     one along the leading axis; it is None for a single matrix.

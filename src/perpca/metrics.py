@@ -16,35 +16,52 @@ ARROWHEAD_SLACK = 1e-10  # rounding allowance on lambda_max(N B B^T) <= 1
 PROJECTOR_CROSS_TOL = 1e-8
 
 
-def as_truth_pair(truth):
-    """Normalize ground truth to a ``(U_true, V_true_list)`` pair."""
-    if hasattr(truth, "U_true") and hasattr(truth, "V_true"):
-        return truth.U_true, list(truth.V_true)
-    U, V = truth
-    return np.asarray(U, dtype=float), [np.asarray(Vi, dtype=float) for Vi in V]
+def _rank_stacks(U, V, d, owner):
+    # stacks.by_rank(V), after checking that every frame is 2-d with d rows
+    if np.ndim(U) != 2 or np.shape(U)[0] != d:
+        raise DimensionError(f"{owner}shared frame has shape {np.shape(U)}, expected ({d}, r)")
+    groups, stacked = stacks.by_rank(V)
+    bad = [g[0] for g, W in zip(groups, stacked) if W.ndim != 3 or W.shape[1] != d]
+    if bad:
+        raise DimensionError(f"{owner}local frame {min(bad)} has shape "
+                             f"{np.shape(V[min(bad)])}, expected ({d}, r)")
+    return groups, stacked
+
+
+def truth_projectors(truth, n_clients, d):
+    """Projectors ``(P_U*, P_V*)`` of a ``(U_true, V_true_list)`` pair, or of an object
+    with ``U_true`` and ``V_true``; ``P_V*`` stacks the local ones as ``(N, d, d)``.
+    A frame count other than ``n_clients``, or a frame not 2-d with ``d`` rows,
+    raises ``DimensionError`` naming it."""
+    U, V = (truth.U_true, truth.V_true) if hasattr(truth, "U_true") else truth
+    if len(V) != n_clients:
+        raise DimensionError(f"{len(V)} true local frames for {n_clients} clients")
+    P_V = np.empty((n_clients, d, d))
+    for clients, W in zip(*_rank_stacks(U, V, d, "true ")):
+        P_V[clients] = W @ np.swapaxes(W, 1, 2)
+    U = np.asarray(U, dtype=float)
+    return U @ U.T, P_V
+
+
+def stacked_subspace_error(U, V, groups, projectors):
+    """:func:`subspace_error` of ``U`` and the stacks ``V[g]`` of the clients ``groups[g]``
+    (see :mod:`perpca.stacks`), given :func:`truth_projectors`; equal to it bitwise."""
+    P_U, P_V = projectors
+    diff = U @ U.T - P_U
+    diffs = [Vg @ np.swapaxes(Vg, 1, 2) - P_V[clients] for clients, Vg in zip(groups, V)]
+    local = stacks.client_stack(groups, [np.sum(D * D, axis=(1, 2)) for D in diffs])
+    return float(np.sum(diff * diff)) + float(np.mean(local))
 
 
 def subspace_error(state, truth):
     """||P_U - P_U*||_F^2 plus the client average of ||P_Vi - P_Vi*||_F^2.
 
-    Zero iff every estimated subspace matches its planted counterpart. The
-    local distances of clients whose frame pairs have equal shapes are
-    computed in one stacked call.
+    Zero iff every estimated subspace matches its planted counterpart. A frame
+    not 2-d with the state's ``d`` rows raises ``DimensionError`` naming it.
     """
-    U_true, V_true = as_truth_pair(truth)
-    if len(V_true) != state.n_clients:
-        raise DimensionError(f"{len(V_true)} true local frames for {state.n_clients} clients")
-    err = stiefel.subspace_distance(state.U, U_true)
-    shapes = [(np.shape(Vi), np.shape(Wi)) for Vi, Wi in zip(state.V, V_true)]
-    if any(len(a) != 2 or len(b) != 2 for a, b in shapes):
-        raise DimensionError("local frames must be 2-d")
-    groups = stacks.rank_groups(shapes)
-    local = [
-        stiefel.subspace_distance(V, W)
-        for V, W in zip(stacks.group_stacks(groups, state.V),
-                        stacks.group_stacks(groups, V_true))
-    ]
-    return err + float(np.mean(stacks.client_stack(groups, local)))
+    groups, V = _rank_stacks(state.U, state.V, state.d, "")
+    return stacked_subspace_error(state.U, V, groups,
+                                  truth_projectors(truth, state.n_clients, state.d))
 
 
 def rho_matrix(V_list):

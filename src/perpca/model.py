@@ -18,6 +18,7 @@ from . import stacks, stiefel
 from .errors import DimensionError, InvariantError
 
 CROSS_TOL = 1e-8
+SCALE_RANGE = (1e-100, 1e100)  # for a nonzero covariance's largest entry: squares stay normal
 
 
 @dataclass
@@ -56,7 +57,7 @@ class ComponentState:
                     f"local frame {i} has {Vi.shape[0]} rows, shared frame has {self.d}"
                 )
             dev = np.max(np.abs(self.U.T @ Vi))
-            if dev > CROSS_TOL:
+            if not dev <= CROSS_TOL:
                 raise InvariantError(
                     f"client {i}: shared/local cross product {dev:.3e} exceeds {CROSS_TOL:.1e}"
                 )
@@ -76,8 +77,9 @@ def covariance_stack(covs):
     """Client covariances as one checked, C-contiguous ``(N, d, d)`` float stack.
 
     Raises ``DimensionError`` for a shape other than the first one's
-    ``(d, d)`` and ``ValueError`` for no covariances, non-finite entries or
-    asymmetry beyond 1e-8 of the largest entry, naming the first bad client.
+    ``(d, d)`` and ``ValueError`` for no covariances, non-finite entries, a
+    nonzero largest entry outside :data:`SCALE_RANGE` or asymmetry beyond
+    1e-8 of the largest entry, naming the first bad client.
     """
     if len(covs) == 0:
         raise ValueError("need at least one client covariance")
@@ -87,12 +89,15 @@ def covariance_stack(covs):
         if shape != (d, d):
             raise DimensionError(f"covariance {i} has shape {shape}, expected ({d}, {d})")
     stack = np.ascontiguousarray(covs, dtype=float)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"covariance {int(np.argmin(finite))} has non-finite entries")
+    peak = np.max(np.abs(stack), axis=(1, 2))  # not finite where an entry is not
+    if not np.isfinite(peak).all():
+        raise ValueError(f"covariance {int(np.argmin(np.isfinite(peak)))} has non-finite entries")
+    bad = np.flatnonzero((peak > SCALE_RANGE[1]) | ((peak > 0) & (peak < SCALE_RANGE[0])))
+    if bad.size:
+        raise ValueError(f"covariance {bad[0]} has largest entry {peak[bad[0]]:.1e}, "
+                         f"outside {SCALE_RANGE}")
     asym = np.max(np.abs(stack - np.swapaxes(stack, 1, 2)), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
-    bad = np.flatnonzero(asym > 1e-8 * scale)
+    bad = np.flatnonzero(asym > 1e-8 * np.maximum(1.0, peak))
     if bad.size:
         raise ValueError(f"covariance {bad[0]} is not symmetric")
     return stack
@@ -156,9 +161,9 @@ def _diagnostics_of(state, covs):
     if covs.shape[:2] != (state.n_clients, state.d):
         raise DimensionError(f"{len(covs)} covariances of shape {covs.shape[1:]} for "
                              f"{state.n_clients} clients at d={state.d}")
-    groups = stacks.rank_groups(state.r2)
-    return diagnostics(np.asarray(state.U, dtype=float), stacks.group_stacks(groups, state.V),
-                       [covs[clients] for clients in groups], groups)
+    groups, V = stacks.by_rank(state.V)
+    return diagnostics(np.asarray(state.U, dtype=float), V, [covs[clients] for clients in groups],
+                       groups)
 
 
 def objective(state, covs):

@@ -21,10 +21,11 @@ reported with the round and the lowest-numbered failing client.
 The per-round trace is computed from the same stacks: one
 :func:`model.diagnostics` pass forms ``S_i U`` and ``S_i V_i`` once per
 client and derives the objective, both KKT residuals and the mean
-reconstruction error from them, and the subspace error takes one stacked
-distance call per rank group. The ``"auto"`` stepsize runs the clients'
-power iterations as one stack. Each of these reduces over clients in
-ascending client order and equals a client-by-client loop bitwise.
+reconstruction error from them, and the subspace error compares each rank
+group's stack with truth projectors formed once per solve. The ``"auto"``
+stepsize runs the clients' power iterations as one stack. Each of these
+reduces over clients in ascending client order and equals a
+client-by-client loop bitwise.
 """
 
 from dataclasses import dataclass
@@ -36,6 +37,9 @@ from . import baselines, metrics, model, stacks, stiefel
 from .errors import DimensionError, SingularityError
 from .rng import substream
 
+CHOICES = (1, 2)  # 1: tangent step per block, 2: joint polar step
+INITS = ("distpca", "random")
+
 
 @dataclass
 class SolverConfig:
@@ -43,9 +47,9 @@ class SolverConfig:
     r2: Union[int, Sequence[int]]
     rounds: int = 200
     stepsize: Union[float, str] = "auto"  # positive float or "auto"
-    choice: int = 1  # 1: tangent step per block, 2: joint polar step
-    retraction: str = "polar"  # "polar" or "qr"
-    init: str = "distpca"  # "distpca" or "random"
+    choice: int = 1  # one of CHOICES
+    retraction: str = "polar"  # a key of stiefel.RETRACTIONS
+    init: str = "distpca"  # one of INITS
     seed: int = 0
     record_trace: bool = True
     stepsize_scale: float = 0.5  # multiplier c in c / (G_max * sqrt(r)) for "auto"
@@ -54,11 +58,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
-        if self.choice not in (1, 2):
+        if self.choice not in CHOICES:
             raise ValueError(f"choice must be 1 or 2, got {self.choice}")
         if self.retraction not in stiefel.RETRACTIONS:
             raise ValueError(f"unknown retraction {self.retraction!r}")
-        if self.init not in ("distpca", "random"):
+        if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
         if isinstance(self.stepsize, str):
             if self.stepsize != "auto":
@@ -310,14 +314,13 @@ def run_perpca(covs, config, truth=None):
     else:
         state = init_distpca(covs, config.r1, r2_list, config.seed)
 
-    truth_pair = None if truth is None else metrics.as_truth_pair(truth)
-    if config.stop_subspace_tol is not None and truth_pair is None:
+    if config.stop_subspace_tol is not None and truth is None:
         raise ValueError("early stopping on subspace error needs ground truth")
-    track_error = truth_pair is not None and (
-        config.record_trace or config.stop_subspace_tol is not None)
-
     if config.rounds == 0:
         return state, []
+    projectors = None
+    if truth is not None and (config.record_trace or config.stop_subspace_tol is not None):
+        projectors = metrics.truth_projectors(truth, len(covs), d)
 
     if config.stepsize == "auto":
         eta = auto_stepsize(covs, max([config.r1] + r2_list), config.stepsize_scale)
@@ -329,10 +332,9 @@ def run_perpca(covs, config, truth=None):
         update, extra = client_update_choice1, (retraction,)
     else:
         update, extra = client_update_choice2, ()
-    groups = stacks.rank_groups(r2_list)
+    groups, V = stacks.by_rank(state.V)
     group_covs = [covs[clients] for clients in groups]
     U = state.U
-    V = stacks.group_stacks(groups, state.V)
     candidates = np.empty((len(covs), d, config.r1))
     trace = []
     for rnd in range(1, config.rounds + 1):
@@ -350,12 +352,11 @@ def run_perpca(covs, config, truth=None):
             f"round {rnd}, client {{}}: local frame collapsed onto the shared frame ({{}})")
         U = U_next
         sub_err = None
-        if track_error:
-            state = model.ComponentState(U, stacks.client_order(groups, V))
-            sub_err = metrics.subspace_error(state, truth_pair)
+        if projectors is not None:
+            sub_err = metrics.stacked_subspace_error(U, V, groups, projectors)
         if config.record_trace:
             diag = model.diagnostics(U, V, group_covs, groups)
             trace.append(RoundTrace(round=rnd, subspace_error=sub_err, **diag._asdict()))
         if config.stop_subspace_tol is not None and sub_err < config.stop_subspace_tol:
             break
-    return model.ComponentState(U, stacks.client_order(groups, V)), trace
+    return model.ComponentState(U, stacks.client_order(groups, V)).validate(), trace

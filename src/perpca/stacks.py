@@ -10,15 +10,14 @@ helpers below put per-group results back into client order.
 import numpy as np
 
 
-def rank_groups(ranks):
-    """Client indices grouped by equal key; groups in order of first appearance.
-
-    ``ranks`` holds one hashable key per client, usually its local rank.
-    """
+def by_rank(frames):
+    """``(groups, stacks)``: the clients grouped by frame shape, which for ``(d, r)``
+    frames is their rank, and the float stack ``(n_g, d, r)`` of each group's frames."""
     groups = {}
-    for i, key in enumerate(ranks):
-        groups.setdefault(key, []).append(i)
-    return [np.array(clients) for clients in groups.values()]
+    for i, F in enumerate(frames):
+        groups.setdefault(np.shape(F), []).append(i)
+    groups = [np.array(clients) for clients in groups.values()]
+    return groups, [np.array([frames[i] for i in clients], dtype=float) for clients in groups]
 
 
 def client_order(groups, stacks):
@@ -38,8 +37,3 @@ def client_stack(groups, stacks):
     for clients, stack in zip(groups, stacks):
         out[clients] = stack
     return out
-
-
-def group_stacks(groups, frames):
-    """One ``(n_g, ...)`` stack per group from a per-client sequence of arrays."""
-    return [np.stack([frames[i] for i in clients]) for clients in groups]

@@ -33,7 +33,7 @@ def require_frame(U, tol=ORTH_TOL, name="frame"):
     if not 1 <= r <= d:
         raise DimensionError(f"{name} needs 1 <= r <= d, got d={d}, r={r}")
     dev = np.max(np.abs(U.T @ U - np.eye(r)))
-    if dev > tol:
+    if not dev <= tol:  # NaN fails too
         raise InvariantError(
             f"{name} columns not orthonormal: deviation {dev:.3e} exceeds {tol:.1e}"
         )
@@ -69,6 +69,10 @@ def _retract(U, xi, factor, margin_name):
     # per slice: a zero update returns U, any other is factor(U + xi), which
     # also gives the slice's rank margin
     U, xi = _check_pair(U, xi, stacked=True)
+    if not np.isfinite(xi).all():  # one flat pass; the failing slice is found only here
+        finite = np.isfinite(xi).all(axis=(-2, -1))
+        raise SingularityError("non-finite update: the stepsize or the covariances are too large",
+                               index=None if U.ndim == 2 else int(np.argmin(finite)))
     moving = np.flatnonzero(xi.any(axis=(-2, -1)))
     if moving.size == 0:
         return U.copy()
@@ -105,7 +109,8 @@ def polar_retract(U, xi):
     Computed through the thin SVD of U + xi (product of its left and right
     singular vectors), which is numerically stabler than the inverse square
     root of I + xi^T U + U^T xi + xi^T xi it is equivalent to. Preserves
-    col(U + xi). A zero update returns U unchanged. A stack ``(N, d, r)``
+    col(U + xi). A zero update returns U unchanged; a non-finite one or a
+    rank-deficient U + xi raises ``SingularityError``. A stack ``(N, d, r)``
     is retracted slice by slice in one batched SVD; a failing slice raises
     with its position as the error's ``index``.
     """
@@ -138,17 +143,14 @@ def subspace_distance(A, B):
     explicit projector difference, which stays accurate down to ~1e-30 for
     nearly equal subspaces where the Gram identity cancels catastrophically.
     Zero iff col(A) = col(B). Both inputs must be orthonormal frames with
-    the same number of rows. Stacks ``(N, d, r)`` and ``(N, d, s)`` give
-    the ``(N,)`` array of slice-by-slice distances, each equal to the
-    distance of the two slices.
+    the same number of rows.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if A.ndim not in (2, 3) or B.ndim != A.ndim or A.shape[:-1] != B.shape[:-1]:
+    if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
         raise DimensionError(f"frames need equal ambient dimension: {A.shape}, {B.shape}")
-    diff = A @ np.swapaxes(A, -1, -2) - B @ np.swapaxes(B, -1, -2)
-    dist = np.sum(diff * diff, axis=(-2, -1))
-    return float(dist) if A.ndim == 2 else dist
+    diff = A @ A.T - B @ B.T
+    return float(np.sum(diff * diff))
 
 
 def random_frame(d, r, rng):

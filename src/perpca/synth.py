@@ -19,6 +19,8 @@ import numpy as np
 from . import stiefel
 from .rng import substream
 
+SCORE_DISTS = ("gaussian", "rademacher")
+
 
 @dataclass
 class GenerativeSpec:
@@ -32,7 +34,7 @@ class GenerativeSpec:
     noise_std: float = 0.0
     theta_target: Optional[float] = None  # exact control only for N=2, r2=1, d>=3
     seed: int = 0
-    score_dist: str = "gaussian"  # or "rademacher"
+    score_dist: str = "gaussian"  # one of SCORE_DISTS
     groups: Optional[Sequence[int]] = None  # clients with equal labels share V
 
     def __post_init__(self):
@@ -51,7 +53,7 @@ class GenerativeSpec:
         for std in (self.global_score_std, self.local_score_std, self.noise_std):
             if std < 0:
                 raise ValueError("standard deviations must be >= 0")
-        if self.score_dist not in ("gaussian", "rademacher"):
+        if self.score_dist not in SCORE_DISTS:
             raise ValueError(f"unknown score distribution {self.score_dist!r}")
         if self.theta_target is not None:
             if not 0.0 < self.theta_target <= 0.5:

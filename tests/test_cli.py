@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perpca import cli, fileio
+from perpca import bench, checks, cli, fileio, solver, stiefel, synth
 from perpca.errors import DimensionError
 
 
@@ -312,6 +312,16 @@ class TestOptionTable:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_choices_come_from_their_source(self):
+        # a retraction registered in stiefel.RETRACTIONS reaches --retraction
+        sources = {"retraction": tuple(stiefel.RETRACTIONS), "init": solver.INITS,
+                   "choice": solver.CHOICES, "score_dist": synth.SCORE_DISTS,
+                   "scenario": tuple(sorted(bench.SCENARIOS)),
+                   "suite": tuple(sorted(checks.ALL_SUITES))}
+        choices = {o.dest: o.choices for o in cli.OPTIONS
+                   if o.choices is not None and o.dest not in ("fmt", "method")}
+        assert choices == sources
 
     def test_main_dispatches_to_the_current_module_attribute(self, monkeypatch):
         # the benchmark tracer replaces cli.cmd_* between calls

@@ -48,6 +48,33 @@ class TestSubspaceError:
                  [stiefel.random_frame(40, r, rng) for r in r2_true])
         assert metrics.subspace_error(state, truth) == ref.subspace_error(state, truth)
 
+    @pytest.mark.parametrize("d, r, s", [(6, 2, 2), (9, 3, 1), (100, 5, 4)])
+    def test_stacked_matches_slices_bitwise(self, d, r, s):
+        # d = 100 puts 10^4 entries in each projector difference; the clients
+        # come as one stack and as two interleaved groups
+        rng = _rng(17)
+        U, U_true = stiefel.random_frame(d, 2, rng), stiefel.random_frame(d, 2, rng)
+        A = np.stack([stiefel.random_frame(d, r, rng) for _ in range(4)])
+        B = [stiefel.random_frame(d, s, rng) for _ in range(4)]
+        local = []
+        for k in range(4):
+            diff = A[k] @ A[k].T - B[k] @ B[k].T
+            local.append(float(np.sum(diff * diff)))
+            assert local[k] == stiefel.subspace_distance(A[k], B[k])
+        expected = stiefel.subspace_distance(U, U_true) + float(np.mean(local))
+        projectors = metrics.truth_projectors((U_true, B), 4, d)
+        for groups in ([np.arange(4)], [np.array([0, 2]), np.array([1, 3])]):
+            stacked = metrics.stacked_subspace_error(U, [A[g] for g in groups], groups, projectors)
+            assert stacked == expected
+
+    def test_bad_state_frame_is_named(self):
+        rng = _rng(4)
+        U, V = _feasible_family(6, 2, 1, 3, rng)
+        for state, message in [(ComponentState(U, [V[0], V[1][:5], V[2]]), r"^local frame 1 "),
+                               (ComponentState(U, [V[0], V[1], V[2][:, 0]]), r"^local frame 2 ")]:
+            with pytest.raises(DimensionError, match=message):
+                metrics.subspace_error(state, (U, V))
+
     def test_rotation_invariance(self):
         rng = _rng(2)
         U, V = _feasible_family(7, 2, 2, 2, rng)

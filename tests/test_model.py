@@ -54,6 +54,8 @@ def _client_one_bad(case):
         covs[1][0, 1] += 1.0
     elif case == "ragged":
         covs[1] = np.eye(4)
+    elif case.startswith("scale"):  # largest entry outside model.SCALE_RANGE
+        covs[1] *= float(case[5:])
     else:
         covs = []
     return covs
@@ -82,7 +84,8 @@ class TestCovarianceStack:
         assert stack.dtype == float and stack.flags.c_contiguous
         assert np.array_equal(stack, np.stack(covs))
 
-    @pytest.mark.parametrize("case", ["nan", "inf", "asymmetric", "ragged", "empty"])
+    @pytest.mark.parametrize("case", ["nan", "inf", "asymmetric", "ragged", "empty", "scale1e308",
+                                      "scale1e160", "scale1e-160", "scale1e-200"])
     @pytest.mark.parametrize("name", sorted(_TAKES_COVS))
     def test_bad_covariances_fail_at_the_boundary(self, name, case):
         # a package error naming the client, never numpy's LinAlgError or a NaN
@@ -91,6 +94,11 @@ class TestCovarianceStack:
             _TAKES_COVS[name](_client_one_bad(case))
         assert info.type in (ValueError, DimensionError)
         assert (info.type is DimensionError) == (case == "ragged")
+
+    def test_scale_range_is_inclusive_and_allows_zero(self):
+        low, high = model.SCALE_RANGE
+        covs = [low * np.eye(3), high * np.eye(3), np.zeros((3, 3))]
+        assert np.array_equal(model.covariance_stack(covs), np.stack(covs))
 
 
 class TestObjective:
@@ -201,10 +209,9 @@ class TestFusedDiagnostics:
         state = model.ComponentState(U, V)
         covs = [_random_cov(d, rng) * 10.0 ** (i % 5 - 2) for i in range(len(r2))]
         expected = ref.diagnostics(state, covs)
-        groups = stacks.rank_groups(r2)
+        groups, V_stacks = stacks.by_rank(V)
         stack = np.stack(covs)
-        fused = model.diagnostics(U, stacks.group_stacks(groups, V),
-                                  [stack[clients] for clients in groups], groups)
+        fused = model.diagnostics(U, V_stacks, [stack[clients] for clients in groups], groups)
         assert fused == expected
         assert model.objective(state, covs) == expected.objective
         assert model.kkt_residual(state, covs) == (expected.kkt_global, expected.kkt_local)
@@ -263,3 +270,9 @@ def test_state_validation():
     bad = model.ComponentState(good.U, [good.U[:, :1]])  # local equals shared column
     with pytest.raises(InvariantError):
         bad.validate()
+    nan_local = good.V[0].copy()
+    nan_local[0, 0] = np.nan
+    for bad in (model.ComponentState(good.U, [nan_local]),
+                model.ComponentState(np.full_like(good.U, np.nan), good.V)):
+        with pytest.raises(InvariantError):
+            bad.validate()

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reference_loops as ref
 from perpca import baselines, metrics, model, solver, stiefel, synth
-from perpca.errors import SingularityError
+from perpca.errors import DimensionError, InvariantError, SingularityError
 
 
 def _rng(seed=0):
@@ -427,6 +431,20 @@ class TestStackedClients:
             retract(U[0], U[0] * -1.0)
         assert info.value.index is None
 
+    @pytest.mark.parametrize("retract", [stiefel.polar_retract, stiefel.qr_retract])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_update_names_first_slice(self, retract, bad):
+        U = np.stack([np.eye(3)[:, :2]] * 4)
+        xi = np.zeros_like(U)
+        xi[1:] = 0.1
+        xi[2, 0, 0] = xi[3, 1, 1] = bad  # slice 0 does not move
+        with pytest.raises(SingularityError, match="non-finite update") as info:
+            retract(U, xi)
+        assert info.value.index == 2
+        with pytest.raises(SingularityError, match="non-finite update") as info:
+            retract(U[0], xi[2])
+        assert info.value.index is None
+
     def test_stacked_correction_step(self):
         rng = _rng(21)
         U_new = np.eye(7)[:, :2]
@@ -495,13 +513,17 @@ class TestInputChecks:
         truth = synth.generate_components(spec)
         covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
         calls = []
-        original = metrics.subspace_error
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def count_calls(name):
+            original = getattr(metrics, name)
 
-        monkeypatch.setattr(metrics, "subspace_error", counting)
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(metrics, name, wrapper)
+
+        for name in ("truth_projectors", "stacked_subspace_error", "subspace_error"):
+            count_calls(name)
         config = solver.SolverConfig(r1=1, r2=2, rounds=20, seed=6, record_trace=False)
         with_truth, _ = solver.run_perpca(covs, config, truth=truth)
         assert calls == []
@@ -510,4 +532,100 @@ class TestInputChecks:
         assert all(np.array_equal(a, b) for a, b in zip(with_truth.V, without.V))
         traced = solver.SolverConfig(r1=1, r2=2, rounds=20, seed=6)
         solver.run_perpca(covs, traced, truth=truth)
-        assert len(calls) == 20
+        assert calls == ["truth_projectors"] + ["stacked_subspace_error"] * 20
+
+    @pytest.mark.parametrize("case, message", [
+        ("count", r"^2 true local frames for 3 clients$"),
+        ("shared 1-d", r"^true shared frame has shape \(8,\), expected \(8, r\)$"),
+        ("local 3-d", r"^true local frame 1 has shape \(1, 8, 2\), expected \(8, r\)$"),
+        ("local d", r"^true local frame 2 has shape \(9, 2\), expected \(8, r\)$"),
+    ], ids=["count", "shared-1d", "local-3d", "local-d"])
+    def test_bad_truth_fails_before_round_one(self, case, message, monkeypatch):
+        spec = synth.GenerativeSpec(d=8, N=3, r1=1, r2=2, n_per_client=50, seed=6)
+        truth = synth.generate_components(spec)
+        covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
+        U, V = truth.U_true, list(truth.V_true)
+        if case == "count":
+            V = V[:2]
+        elif case == "shared 1-d":
+            U = U[:, 0]
+        elif case == "local 3-d":
+            V[1] = V[1][None]
+        else:
+            V[2] = np.vstack([V[2], np.zeros((1, 2))])
+        # a truth that the solver never reads is not checked
+        unread = solver.SolverConfig(r1=1, r2=2, rounds=5, record_trace=False)
+        solver.run_perpca(covs, unread, truth=(U, V))
+        updates = []
+        monkeypatch.setattr(solver, "client_update_choice1", lambda *a: updates.append(a))
+        for config in (solver.SolverConfig(r1=1, r2=2, rounds=5),
+                       solver.SolverConfig(r1=1, r2=2, rounds=5, record_trace=False,
+                                           stop_subspace_tol=1e-8)):
+            with pytest.raises(DimensionError, match=message):
+                solver.run_perpca(covs, config, truth=(U, V))
+        assert updates == []
+        with pytest.raises(DimensionError, match=message):
+            metrics.subspace_error(model.ComponentState(truth.U_true, truth.V_true), (U, V))
+
+    @pytest.mark.parametrize("retraction", ["polar", "qr"])
+    @pytest.mark.parametrize("choice", [1, 2])
+    def test_huge_stepsize_names_round_and_client(self, choice, retraction):
+        rng = _rng(25)
+        covs = [_psd(5, rng, scale=100.0) for _ in range(3)]
+        config = solver.SolverConfig(r1=1, r2=2, rounds=3, stepsize=1e308, choice=choice,
+                                     retraction=retraction)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                SingularityError, match=r"^round 1, client 0: non-finite update"):
+            solver.run_perpca(covs, config)
+
+    @pytest.mark.parametrize("init", ["distpca", "random"])
+    @pytest.mark.parametrize("r2, client", [(-1, 0), (0, 0), ([2, 1, 0], 2)])
+    def test_local_rank_below_one_names_client(self, r2, client, init):
+        covs = [np.diag([5.0, 4.0, 3.0, 2.0, 1.0])] * 3
+        message = rf"^client {client}: local rank must be >= 1, got "
+        with pytest.raises(ValueError, match=message):
+            solver.run_perpca(covs, solver.SolverConfig(r1=1, r2=r2, rounds=3, init=init))
+        with pytest.raises(ValueError, match=message):
+            baselines.distpca(covs, 1, r2)
+
+
+_PACKAGE_VALUE_ERRORS = re.compile(r"^(covariance \d+ has largest entry|all covariances are zero)")
+
+
+@st.composite
+def _solver_inputs(draw):
+    # up to four clients; ranks up to r1 + r2 = d, equal or mixed r2;
+    # covariances of any rank, zero included, at scales 1e-200 to 1e200;
+    # "auto" or an explicit stepsize from 1e-300 to 1e308
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 4))
+    r1 = draw(st.integers(1, d - 1))
+    ranks = st.integers(1, d - r1)
+    r2 = draw(ranks) if draw(st.booleans()) else draw(st.lists(ranks, min_size=n, max_size=n))
+    covs = []
+    for _ in range(n):
+        M = _rng(draw(st.integers(0, 2**32 - 1))).standard_normal((d, draw(st.integers(0, d))))
+        covs.append(10.0 ** draw(st.floats(-200, 200)) * (M @ M.T))
+    eta = draw(st.just("auto") | st.floats(-300, 308).map(lambda e: 10.0 ** e))
+    return covs, solver.SolverConfig(
+        r1=r1, r2=r2, rounds=3, stepsize=eta, choice=draw(st.sampled_from([1, 2])),
+        retraction=draw(st.sampled_from(list(stiefel.RETRACTIONS))),
+        init=draw(st.sampled_from(solver.INITS)))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inputs=_solver_inputs())
+def test_fuzz_run_perpca_ends_valid_or_in_package_error(inputs):
+    # never numpy's LinAlgError (a ValueError subclass), a NaN frame or an invalid state
+    covs, config = inputs
+    try:
+        with np.errstate(all="ignore"):
+            state, trace = solver.run_perpca(covs, config)
+    except (DimensionError, InvariantError, SingularityError):
+        return
+    except ValueError as exc:
+        assert type(exc) is ValueError and _PACKAGE_VALUE_ERRORS.match(str(exc)), repr(exc)
+        return
+    state.validate()
+    assert np.isfinite(state.U).all() and all(np.isfinite(V).all() for V in state.V)
+    assert np.isfinite([row[1:5] for row in trace]).all()
