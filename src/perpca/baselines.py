@@ -30,16 +30,6 @@ def top_eigvecs(S, k):
     return _fix_signs(np.take_along_axis(vectors, order[..., None, :], axis=-1))
 
 
-def _as_r2_list(r2, n_clients):
-    r2 = [int(r2)] * n_clients if np.ndim(r2) == 0 else [int(v) for v in r2]
-    if len(r2) != n_clients:
-        raise DimensionError(f"{len(r2)} local ranks for {n_clients} clients")
-    low = [i for i, r in enumerate(r2) if r < 1]
-    if low:
-        raise ValueError(f"client {low[0]}: local rank must be >= 1, got {r2[low[0]]}")
-    return r2
-
-
 _TIE_BREAK = 1e-6
 _RANK_TOL = 1e-12  # relative eigenvalue floor of the stacked gram's top r1
 
@@ -54,10 +44,11 @@ def distpca_global(covs, r1, r2_list):
     degenerate eigenvalues and the retained subspace would be
     eigensolver-arbitrary (a single client must reduce to spectral
     truncation). Client i keeps the first r1 + r2_i columns of a batched
-    eigendecomposition at rank r1 + max(r2_i).
+    eigendecomposition at rank r1 + max(r2_i). The ranks follow
+    :func:`model.local_ranks`.
     """
     covs = model.covariance_stack(covs)
-    r2_list = _as_r2_list(r2_list, len(covs))
+    r2_list = model.local_ranks(r1, r2_list, len(covs), covs.shape[1])
     width = r1 + max(r2_list)
     frames = top_eigvecs(covs, width) * (1.0 - _TIE_BREAK * np.arange(width))
     stacked = np.concatenate([F[:, :r1 + r2] for F, r2 in zip(frames, r2_list)], axis=1)
@@ -79,10 +70,7 @@ def distpca(covs, r1, r2_list):
     construction. The clients deflate and decompose as one stack.
     """
     covs = model.covariance_stack(covs)
-    r2_list = _as_r2_list(r2_list, len(covs))
-    d = covs.shape[1]
-    if r1 + max(r2_list) > d:
-        raise ValueError(f"r1 + max(r2) = {r1 + max(r2_list)} exceeds dimension {d}")
+    r2_list = model.local_ranks(r1, r2_list, len(covs), covs.shape[1])
     U = distpca_global(covs, r1, r2_list)
     deflated = covs - U @ (U.T @ covs)
     deflated = deflated - (deflated @ U) @ U.T

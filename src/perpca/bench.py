@@ -5,8 +5,7 @@ with mean and standard deviation over seed repeats; the command-line
 ``bench`` writes them as CSV. Every scenario is a list of grid points and a
 measure, run by one driver (:func:`_drive`) that builds the planted
 instances. Scenario parameters are chosen so the
-qualitative contrasts are reproducible in minutes on a laptop; score and
-noise scales are exposed for experimentation.
+qualitative contrasts are reproducible in minutes on a laptop.
 """
 
 import dataclasses
@@ -114,9 +113,8 @@ def _against_distpca(spec, truth, covs, rounds, **config):
 
 
 @_scenario
-def error_vs_n(repeats=5, seed0=0, ns=(200, 800, 3200, 12800), d=15, n_clients=100,
-               r1=2, r2=3, local_std=10.0, noise_std=7.0, rounds=1500,
-               stepsize_scale=2.0):
+def error_vs_n(repeats=5, seed0=0, ns=(200, 800, 3200, 12800), n_clients=100,
+               rounds=1500):
     """Subspace error against observations per client, shared vs one-shot.
 
     The noise level hides the weak shared directions from any single
@@ -124,25 +122,25 @@ def error_vs_n(repeats=5, seed0=0, ns=(200, 800, 3200, 12800), d=15, n_clients=1
     baseline inconsistent; the federated solver aggregates all clients and
     keeps improving like 1/n.
     """
-    points = [({"n": n}, dict(d=d, N=n_clients, r1=r1, r2=r2, n_per_client=int(n),
-                              local_score_std=local_std, noise_std=noise_std))
+    points = [({"n": n}, dict(d=15, N=n_clients, r1=2, r2=3, n_per_client=int(n),
+                              local_score_std=10.0, noise_std=7.0))
               for n in ns]
     return _drive("error-vs-n", points, repeats, seed0, _against_distpca, rounds=rounds,
-                  stepsize_scale=stepsize_scale)
+                  stepsize_scale=2.0)
 
 
 @_scenario
 def error_vs_d(repeats=3, seed0=0, ds=(10, 20, 40, 80), n=10_000, n_clients=20,
-               r1=2, local_std=1.5, noise_std=0.8, rounds=300):
+               rounds=300):
     """Subspace error against ambient dimension at fixed n.
 
     Local frames keep two thirds of the space (their rank grows with d)
     and sit close to the noise floor, so the number of marginally
     separated eigen-pairs grows like d^2 and the error follows.
     """
-    points = [({"n": n}, dict(d=d, N=n_clients, r1=r1, r2=round(2 * d / 3) - r1,
+    points = [({"n": n}, dict(d=d, N=n_clients, r1=2, r2=round(2 * d / 3) - 2,
                               n_per_client=_rich_sparse_counts(n, n_clients),
-                              local_score_std=local_std, noise_std=noise_std))
+                              local_score_std=1.5, noise_std=0.8))
               for d in ds]
     return _drive("error-vs-d", points, repeats, seed0, _against_distpca, rounds=rounds)
 
@@ -155,11 +153,10 @@ def _average_and_shared_error(spec, truth, covs, rounds):
 
 
 @_scenario
-def error_vs_N(repeats=3, seed0=0, Ns=(10, 30, 100), d=15, n=2000, r1=2, r2=3,
-               local_std=10.0, noise_std=0.7, rounds=300):
+def error_vs_N(repeats=3, seed0=0, Ns=(10, 30, 100), n=2000, rounds=300):
     """Average and shared-only subspace error against the number of clients."""
-    points = [({"n": n}, dict(d=d, N=N, r1=r1, r2=r2, n_per_client=n,
-                              local_score_std=local_std, noise_std=noise_std))
+    points = [({"n": n}, dict(d=15, N=N, r1=2, r2=3, n_per_client=n,
+                              local_score_std=10.0, noise_std=0.7))
               for N in Ns]
     return _drive("error-vs-N", points, repeats, seed0, _average_and_shared_error,
                   rounds=rounds)
@@ -175,8 +172,7 @@ def _convergence(spec, truth, covs, rounds):
 
 
 @_scenario
-def theta_sweep(repeats=10, seed0=0, thetas=(0.05, 0.1, 0.2, 0.3), n=500,
-                rounds=150):
+def theta_sweep(repeats=10, seed0=0, thetas=(0.05, 0.1, 0.2, 0.3), rounds=150):
     """Linear-convergence slope against heterogeneity on the planted toy.
 
     Two clients, one shared and one local direction each in three
@@ -186,8 +182,8 @@ def theta_sweep(repeats=10, seed0=0, thetas=(0.05, 0.1, 0.2, 0.3), n=500,
     the summed covariance traces, so the per-round optimality gap is
     available in closed form.
     """
-    points = [({"theta": theta, "n": n}, dict(d=3, N=2, r1=1, r2=1, n_per_client=n,
-                                              local_score_std=1.0, theta_target=theta))
+    points = [({"theta": theta, "n": 500}, dict(d=3, N=2, r1=1, r2=1, n_per_client=500,
+                                                local_score_std=1.0, theta_target=theta))
               for theta in thetas]
     return _drive("theta-sweep", points, repeats, seed0, _convergence, rounds=rounds)
 
@@ -215,21 +211,18 @@ def _held_out_errors(spec, truth, covs, rounds, n_test):
 
 
 @_scenario
-def knowledge_sharing(repeats=5, seed0=0, n=100, n_clients=100, d=15, r1=2, r2=2,
-                      global_std=0.8, local_std=2.5, noise_std=1.2,
-                      rounds=600, n_test=2000):
+def knowledge_sharing(repeats=5, seed0=0, n_clients=100, rounds=600, n_test=2000):
     """Held-out reconstruction error per client group for all four methods.
 
-    Half the clients are data rich (n observations), half data sparse
-    (n/10). The shared directions sit near each single client's sampling
+    Half the clients are data rich (100 observations), half data sparse
+    (10). The shared directions sit near each single client's sampling
     noise floor, so pooling them across clients is what pays off.
     Baselines retain r1+r2 components per client for fairness; the
     analytic floor of the planted components is reported alongside.
     """
-    point = ({"n": n}, dict(d=d, N=n_clients, r1=r1, r2=r2,
-                            n_per_client=_rich_sparse_counts(n, n_clients),
-                            global_score_std=global_std, local_score_std=local_std,
-                            noise_std=noise_std))
+    point = ({"n": 100}, dict(d=15, N=n_clients, r1=2, r2=2,
+                              n_per_client=_rich_sparse_counts(100, n_clients),
+                              global_score_std=0.8, local_score_std=2.5, noise_std=1.2))
     return _drive("knowledge-sharing", [point], repeats, seed0, _held_out_errors,
                   rounds=rounds, n_test=n_test)
 

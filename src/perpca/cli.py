@@ -101,7 +101,7 @@ COMMANDS = {
 TAKES_DATA = ("fit", "baseline", "eval")  # commands with positional data files
 
 OPTIONS = (
-    Option("seed", "synth fit baseline bench cluster check", 0, int, help="root seed"),
+    Option("seed", "synth fit bench cluster check", 0, int, help="root seed"),
     Option("out", "synth fit baseline bench eval cluster",
            {"synth": "synth-out", "fit": "fit-out", "baseline": "baseline-out",
             "bench": "bench-out", "eval": None, "cluster": "cluster-out"},
@@ -252,7 +252,7 @@ def cmd_baseline(args):
     t0 = time.time()
     opt = _resolve(args)
     data_paths, datasets, covs = _load_inputs(args.data, opt)
-    r2_list = baselines._as_r2_list(_int_list(opt["r2"]), len(covs))
+    r2_list = model.local_ranks(opt["r1"], _int_list(opt["r2"]), len(covs), len(covs[0]))
     out = Path(opt["out"])
     if opt["method"] == "distpca":
         state = baselines.distpca(covs, opt["r1"], r2_list)

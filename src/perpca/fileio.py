@@ -57,23 +57,23 @@ def save_matrix(path, M, fmt="csv", header=None):
     return path
 
 
-def load_matrix(path, fmt=None, header=False):
+def load_matrix(path, header=False):
     """Read a matrix file; a ValueError names the file when it is malformed.
 
+    The format follows the suffix: ``.mat64`` is binary, anything else CSV.
     A ``.mat64`` payload must hold exactly the rows x cols values its header
     announces; in either format there must be at least one value, and every
     value must be finite.
     """
     path = Path(path)
-    fmt = _format_of(path, fmt)
-    if fmt == "csv":
+    if _format_of(path) == "csv":
         try:
             with warnings.catch_warnings():  # an empty file raises below instead
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 M = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
         except ValueError as exc:  # UnicodeDecodeError included
             raise ValueError(f"{path}: {exc}") from exc
-    elif fmt == "bin":
+    else:
         raw = path.read_bytes()
         if len(raw) < 16:
             raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 16-byte header")
@@ -84,8 +84,6 @@ def load_matrix(path, fmt=None, header=False):
         if len(raw) == 16:  # checked before reshape, which overflows on a huge empty axis
             raise ValueError(f"{path}: header announces {rows} x {cols}, no values")
         M = np.frombuffer(raw[16:], dtype="<f8").reshape(rows, cols).copy()
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     if M.size == 0:
         raise ValueError(f"{path}: no values")
     if not np.isfinite(M).all():
@@ -98,10 +96,8 @@ def _ext(fmt):
     return "csv" if fmt == "csv" else "mat64"
 
 
-def _format_of(path, fmt):
-    if fmt is None:
-        return "bin" if Path(path).suffix == ".mat64" else "csv"
-    return fmt
+def _format_of(path):
+    return "bin" if Path(path).suffix == ".mat64" else "csv"
 
 
 def _usable_cpus():
@@ -243,16 +239,16 @@ def _file_bytes(paths):
         return 0
 
 
-def load_datasets(paths, fmt=None, header=False, center=False):
+def load_datasets(paths, header=False, center=False):
     """Load client data files into (d, n_i) arrays, optionally mean-centering."""
     paths = list(paths)
 
     def load(i):
-        return load_matrix(paths[i], fmt=fmt, header=header)
+        return load_matrix(paths[i], header=header)
 
     datasets = []
     d = None
-    fmts = [_format_of(p, fmt) for p in paths]
+    fmts = [_format_of(p) for p in paths]
     with _each_file(load, paths, fmts, _file_bytes(paths)) as matrices:
         for path, M in zip(paths, matrices):
             Y = M.T
@@ -280,19 +276,19 @@ def save_components(out_dir, U=None, V=None, fmt="csv", prefix=""):
     return paths
 
 
-def load_components(comp_dir, fmt=None, prefix=""):
+def load_components(comp_dir, prefix=""):
     """Read ``<prefix>U`` and ``<prefix>V_<i>`` files; either may be absent."""
     comp_dir = Path(comp_dir)
     U = None
     for ext in ("csv", "mat64"):
         path = comp_dir / f"{prefix}U.{ext}"
         if path.exists():
-            U = load_matrix(path, fmt=fmt)
+            U = load_matrix(path)
             break
     pattern = re.compile(re.escape(prefix) + r"V_(\d+)\.(csv|mat64)$")
     found = [(int(m.group(1)), p) for p in comp_dir.iterdir()
              if (m := pattern.match(p.name))]
-    V = [load_matrix(p, fmt=fmt) for _, p in sorted(found)]
+    V = [load_matrix(p) for _, p in sorted(found)]
     return U, V
 
 

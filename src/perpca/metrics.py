@@ -16,28 +16,17 @@ ARROWHEAD_SLACK = 1e-10  # rounding allowance on lambda_max(N B B^T) <= 1
 PROJECTOR_CROSS_TOL = 1e-8
 
 
-def _rank_stacks(U, V, d, owner):
-    # stacks.by_rank(V), after checking that every frame is 2-d with d rows
-    if np.ndim(U) != 2 or np.shape(U)[0] != d:
-        raise DimensionError(f"{owner}shared frame has shape {np.shape(U)}, expected ({d}, r)")
-    groups, stacked = stacks.by_rank(V)
-    bad = [g[0] for g, W in zip(groups, stacked) if W.ndim != 3 or W.shape[1] != d]
-    if bad:
-        raise DimensionError(f"{owner}local frame {min(bad)} has shape "
-                             f"{np.shape(V[min(bad)])}, expected ({d}, r)")
-    return groups, stacked
-
-
 def truth_projectors(truth, n_clients, d):
     """Projectors ``(P_U*, P_V*)`` of a ``(U_true, V_true_list)`` pair, or of an object
     with ``U_true`` and ``V_true``; ``P_V*`` stacks the local ones as ``(N, d, d)``.
-    A frame count other than ``n_clients``, or a frame not 2-d with ``d`` rows,
-    raises ``DimensionError`` naming it."""
+    A frame count other than ``n_clients``, or a frame that breaks
+    :func:`stacks.require_shape`, raises ``DimensionError`` naming it."""
     U, V = (truth.U_true, truth.V_true) if hasattr(truth, "U_true") else truth
     if len(V) != n_clients:
         raise DimensionError(f"{len(V)} true local frames for {n_clients} clients")
+    stacks.require_shape(U, d, "true shared frame")
     P_V = np.empty((n_clients, d, d))
-    for clients, W in zip(*_rank_stacks(U, V, d, "true ")):
+    for clients, W in zip(*stacks.by_rank(V, d, "true local frame")):
         P_V[clients] = W @ np.swapaxes(W, 1, 2)
     U = np.asarray(U, dtype=float)
     return U @ U.T, P_V
@@ -57,9 +46,10 @@ def subspace_error(state, truth):
     """||P_U - P_U*||_F^2 plus the client average of ||P_Vi - P_Vi*||_F^2.
 
     Zero iff every estimated subspace matches its planted counterpart. A frame
-    not 2-d with the state's ``d`` rows raises ``DimensionError`` naming it.
+    that breaks :func:`stacks.require_shape` raises ``DimensionError`` naming it.
     """
-    groups, V = _rank_stacks(state.U, state.V, state.d, "")
+    stacks.require_shape(state.U, state.d, "shared frame")
+    groups, V = stacks.by_rank(state.V, state.d)
     return stacked_subspace_error(state.U, V, groups,
                                   truth_projectors(truth, state.n_clients, state.d))
 

@@ -51,17 +51,33 @@ class ComponentState:
         """Raise unless all orthonormality and cross-orthogonality invariants hold."""
         stiefel.require_frame(self.U, name="shared frame")
         for i, Vi in enumerate(self.V):
+            stacks.require_shape(Vi, self.d, f"local frame {i}")
             stiefel.require_frame(Vi, name=f"local frame {i}")
-            if Vi.shape[0] != self.d:
-                raise DimensionError(
-                    f"local frame {i} has {Vi.shape[0]} rows, shared frame has {self.d}"
-                )
             dev = np.max(np.abs(self.U.T @ Vi))
             if not dev <= CROSS_TOL:
                 raise InvariantError(
                     f"client {i}: shared/local cross product {dev:.3e} exceeds {CROSS_TOL:.1e}"
                 )
         return self
+
+
+def local_ranks(r1, r2, n_clients, d):
+    """The one rank rule: the clients' local ranks from an int or a per-client list ``r2``.
+
+    Raises ``DimensionError`` for a list of other length than ``n_clients`` and
+    ``ValueError`` for ``r1 < 1``, a local rank below 1 (naming the first such
+    client) or ``r1 + max(r2) > d``."""
+    if r1 < 1:
+        raise ValueError("r1 must be >= 1")
+    r2 = [int(r2)] * n_clients if np.ndim(r2) == 0 else [int(v) for v in r2]
+    if len(r2) != n_clients:
+        raise DimensionError(f"{len(r2)} local ranks for {n_clients} clients")
+    low = [i for i, r in enumerate(r2) if r < 1]
+    if low:
+        raise ValueError(f"client {low[0]}: local rank must be >= 1, got {r2[low[0]]}")
+    if r1 + max(r2) > d:
+        raise ValueError(f"r1 + max(r2) = {r1 + max(r2)} exceeds dimension {d}")
+    return r2
 
 
 def covariance(Y):
@@ -161,7 +177,8 @@ def _diagnostics_of(state, covs):
     if covs.shape[:2] != (state.n_clients, state.d):
         raise DimensionError(f"{len(covs)} covariances of shape {covs.shape[1:]} for "
                              f"{state.n_clients} clients at d={state.d}")
-    groups, V = stacks.by_rank(state.V)
+    stacks.require_shape(state.U, state.d, "shared frame")
+    groups, V = stacks.by_rank(state.V, state.d)
     return diagnostics(np.asarray(state.U, dtype=float), V, [covs[clients] for clients in groups],
                        groups)
 

@@ -74,9 +74,6 @@ class SolverConfig:
         if self.stepsize_scale <= 0:
             raise ValueError("stepsize_scale must be positive")
 
-    def r2_list(self, n_clients):
-        return baselines._as_r2_list(self.r2, n_clients)
-
 
 class RoundTrace(NamedTuple):
     """Metrics of the feasible state at the end of one communication round."""
@@ -150,8 +147,10 @@ def init_random(d, r1, r2_list, seed):
     """Per-client joint orthonormalization of Gaussian blocks.
 
     The shared block is drawn once, so the split concatenation gives every
-    client the same U; each V_i is orthonormal and orthogonal to U.
+    client the same U; each V_i is orthonormal and orthogonal to U. The ranks
+    follow :func:`model.local_ranks`.
     """
+    r2_list = model.local_ranks(r1, r2_list, len(r2_list), d)
     shared_raw = substream(seed, "init").standard_normal((d, r1))
     U = None
     V = []
@@ -170,6 +169,7 @@ def init_distpca(covs, r1, r2_list, seed):
     """Shared frame from one-shot distributed PCA, local frames random-then-corrected."""
     U = baselines.distpca_global(covs, r1, r2_list)
     d = U.shape[0]
+    r2_list = model.local_ranks(r1, r2_list, len(covs), d)
     V = []
     for i, r2 in enumerate(r2_list):
         raw = substream(seed, "init", i + 1).standard_normal((d, r2))
@@ -305,9 +305,7 @@ def run_perpca(covs, config, truth=None):
     """
     covs = model.covariance_stack(covs)
     d = covs.shape[1]
-    r2_list = config.r2_list(len(covs))
-    if config.r1 + max(r2_list) > d:
-        raise ValueError(f"r1 + max(r2) = {config.r1 + max(r2_list)} exceeds dimension {d}")
+    r2_list = model.local_ranks(config.r1, config.r2, len(covs), d)
 
     if config.init == "random":
         state = init_random(d, config.r1, r2_list, config.seed)
@@ -332,7 +330,7 @@ def run_perpca(covs, config, truth=None):
         update, extra = client_update_choice1, (retraction,)
     else:
         update, extra = client_update_choice2, ()
-    groups, V = stacks.by_rank(state.V)
+    groups, V = stacks.by_rank(state.V, d)
     group_covs = [covs[clients] for clients in groups]
     U = state.U
     candidates = np.empty((len(covs), d, config.r1))

@@ -4,18 +4,32 @@ Local frames of equal rank stack into one ``(n_g, d, r2)`` array and their
 covariances into one ``(n_g, d, d)`` array, so per-client work becomes one
 stacked operation per group. A group is the ascending array of the client
 indices it holds; groups are listed in order of first appearance. The
-helpers below put per-group results back into client order.
+other helpers put per-group results back into client order.
 """
 
 import numpy as np
 
+from .errors import DimensionError
 
-def by_rank(frames):
+
+def require_shape(F, d, name):
+    """The one frame-shape rule: ``DimensionError`` naming ``name`` unless ``F`` is
+    ``(d, r)`` with ``1 <= r <= d``."""
+    shape = np.shape(F)
+    if len(shape) != 2 or shape[0] != d or not 1 <= shape[1] <= d:
+        raise DimensionError(f"{name} has shape {shape}, expected ({d}, r)")
+
+
+def by_rank(frames, d, name="local frame"):
     """``(groups, stacks)``: the clients grouped by frame shape, which for ``(d, r)``
-    frames is their rank, and the float stack ``(n_g, d, r)`` of each group's frames."""
+    frames is their rank, and the float stack ``(n_g, d, r)`` of each group's frames.
+    :func:`require_shape` checks the first frame of each group, so an error names the
+    lowest-numbered bad frame, as ``"<name> <i>"``."""
     groups = {}
     for i, F in enumerate(frames):
         groups.setdefault(np.shape(F), []).append(i)
+    for clients in groups.values():
+        require_shape(frames[clients[0]], d, f"{name} {clients[0]}")
     groups = [np.array(clients) for clients in groups.values()]
     return groups, [np.array([frames[i] for i in clients], dtype=float) for clients in groups]
 

@@ -45,6 +45,8 @@ def _check_pair(U, xi, stacked=False):
     xi = np.asarray(xi, dtype=float)
     if U.ndim not in ((2, 3) if stacked else (2,)) or xi.shape != U.shape:
         raise DimensionError(f"shape mismatch: frame {U.shape}, update {xi.shape}")
+    if U.shape[-1] > U.shape[-2]:
+        raise DimensionError(f"frame {U.shape} has more columns than rows")
     return U, xi
 
 

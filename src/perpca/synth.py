@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from . import stiefel
+from . import model, stiefel
 from .rng import substream
 
 SCORE_DISTS = ("gaussian", "rademacher")
@@ -38,10 +38,9 @@ class GenerativeSpec:
     groups: Optional[Sequence[int]] = None  # clients with equal labels share V
 
     def __post_init__(self):
-        if self.r1 + self.r2 > self.d:
-            raise ValueError(f"r1 + r2 = {self.r1 + self.r2} exceeds dimension {self.d}")
-        if self.r1 < 1 or self.r2 < 1 or self.N < 1:
-            raise ValueError("r1, r2 and N must be positive")
+        if self.N < 1:
+            raise ValueError("N must be positive")
+        model.local_ranks(self.r1, int(self.r2), self.N, self.d)  # one rank for all clients
         if np.ndim(self.n_per_client) == 0:
             self.n_per_client = [int(self.n_per_client)] * self.N
         else:

@@ -301,6 +301,7 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("argv", [
         ["eval", "data", "--seed", "1"],
+        ["baseline", "data", "--seed", "1"],
         ["eval", "data", "--format", "csv"],
         ["bench", "--format", "csv"],
         ["cluster", "--format", "csv"],

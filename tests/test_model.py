@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import reference_loops as ref
-from perpca import baselines, model, solver, stacks, stiefel
+from perpca import baselines, cli, fileio, metrics, model, solver, stacks, stiefel, synth
 from perpca.errors import DimensionError, InvariantError
 
 
@@ -209,7 +211,7 @@ class TestFusedDiagnostics:
         state = model.ComponentState(U, V)
         covs = [_random_cov(d, rng) * 10.0 ** (i % 5 - 2) for i in range(len(r2))]
         expected = ref.diagnostics(state, covs)
-        groups, V_stacks = stacks.by_rank(V)
+        groups, V_stacks = stacks.by_rank(V, d)
         stack = np.stack(covs)
         fused = model.diagnostics(U, V_stacks, [stack[clients] for clients in groups], groups)
         assert fused == expected
@@ -276,3 +278,81 @@ def test_state_validation():
                 model.ComponentState(np.full_like(good.U, np.nan), good.V)):
         with pytest.raises(InvariantError):
             bad.validate()
+
+
+# The rank rule (model.local_ranks) at every entry point that takes ranks, at
+# d=5 with three clients: each case raises the same type and message everywhere.
+_RANK_CASES = {
+    "r1-zero": (0, [1, 1, 1], ValueError, "r1 must be >= 1"),
+    "client-2-zero": (1, [1, 1, 0], ValueError, "client 2: local rank must be >= 1, got 0"),
+    "wrong-length": (1, [1, 1], DimensionError, "2 local ranks for 3 clients"),
+    "over-d": (2, [1, 4, 1], ValueError, "r1 + max(r2) = 6 exceeds dimension 5"),
+}
+_COVS = [np.diag([5.0, 4.0, 3.0, 2.0, 1.0]) + 0.1 * i * np.eye(5) for i in range(3)]
+
+
+def _baseline_cli(method):
+    def run(r1, r2, tmp_path):
+        data = tmp_path / "data"
+        fileio.save_datasets(data, [_rng(i).standard_normal((5, 20)) for i in range(3)])
+        cli.main(["baseline", str(data), "--method", method, "--r1", str(r1),
+                  "--r2", ",".join(map(str, r2)), "--out", str(tmp_path / "out")])
+    return run
+
+
+_RANK_ENTRIES = {
+    "run_perpca-distpca": (lambda r1, r2, _: solver.run_perpca(
+        _COVS, solver.SolverConfig(r1=r1, r2=r2, rounds=2)), _RANK_CASES),
+    "run_perpca-random": (lambda r1, r2, _: solver.run_perpca(
+        _COVS, solver.SolverConfig(r1=r1, r2=r2, rounds=2, init="random")), _RANK_CASES),
+    "init_random": (lambda r1, r2, _: solver.init_random(5, r1, r2, 0),
+                    ("r1-zero", "client-2-zero", "over-d")),  # the list sets the count
+    "init_distpca": (lambda r1, r2, _: solver.init_distpca(_COVS, r1, r2, 0), _RANK_CASES),
+    "distpca_global": (lambda r1, r2, _: baselines.distpca_global(_COVS, r1, r2), _RANK_CASES),
+    "distpca": (lambda r1, r2, _: baselines.distpca(_COVS, r1, r2), _RANK_CASES),
+    **{f"cli-baseline-{m}": (_baseline_cli(m), _RANK_CASES) for m in ("distpca", "indiv", "cpca")},
+    "GenerativeSpec": (lambda r1, r2, _: synth.GenerativeSpec(
+        d=5, N=3, r1=r1, r2=max(r2), n_per_client=10), ("r1-zero", "over-d")),  # one int r2
+}
+
+
+@pytest.mark.parametrize("entry, case", [(entry, case) for entry, (_, cases) in
+                                         _RANK_ENTRIES.items() for case in cases])
+def test_rank_rule_at_every_entry_point(entry, case, tmp_path):
+    r1, r2, kind, message = _RANK_CASES[case]
+    with pytest.raises(kind, match=f"^{re.escape(message)}$") as exc:
+        _RANK_ENTRIES[entry][0](r1, r2, tmp_path)
+    assert type(exc.value) is kind
+
+
+@pytest.mark.parametrize("bad", ["rows", "1-d", "wide"])
+@pytest.mark.parametrize("call", [model.objective, model.kkt_residual,
+                                  model.mean_reconstruction_error, "subspace_error"])
+def test_bad_local_frame_is_named(call, bad):
+    state = _random_state(5, 1, 2, 3, _rng(21))
+    truth = (state.U, list(state.V))
+    state.V[1] = {"rows": np.vstack([state.V[1], np.zeros((1, 2))]), "1-d": state.V[1][:, 0],
+                  "wide": np.eye(5, 6)}[bad]
+    with pytest.raises(DimensionError, match=r"^local frame 1 has shape "):
+        if call == "subspace_error":
+            metrics.subspace_error(state, truth)
+        else:
+            call(state, _COVS)
+
+
+def test_by_rank_checks_each_group_once_and_names_the_lowest_bad_frame(monkeypatch):
+    rng = _rng(22)
+    frames = [stiefel.random_frame(5, 1 + i % 2, rng) for i in range(40)]
+    checked = []
+    original = stacks.require_shape
+    monkeypatch.setattr(stacks, "require_shape",
+                        lambda F, d, name: checked.append(name) or original(F, d, name))
+    groups, V = stacks.by_rank(frames, 5)
+    assert checked == ["local frame 0", "local frame 1"]
+    assert [len(g) for g in groups] == [20, 20] and [W.shape for W in V] == [(20, 5, 1),
+                                                                             (20, 5, 2)]
+    # groups come in order of first appearance: (5, 1), (4, 2), (5, 6)
+    frames[3], frames[1] = np.eye(5, 6), np.zeros((4, 2))
+    with pytest.raises(DimensionError, match=r"^true local frame 1 has shape \(4, 2\), "
+                                             r"expected \(5, r\)$"):
+        stacks.by_rank(frames, 5, "true local frame")

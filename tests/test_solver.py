@@ -358,7 +358,7 @@ def _reference_run(covs, config, truth=None):
     """Client-by-client loop that the stacked solver must match bitwise."""
     covs = [np.asarray(S, dtype=float) for S in covs]
     d = covs[0].shape[0]
-    r2_list = config.r2_list(len(covs))
+    r2_list = model.local_ranks(config.r1, config.r2, len(covs), d)
     if config.init == "random":
         state = solver.init_random(d, config.r1, r2_list, config.seed)
     else:

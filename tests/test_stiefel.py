@@ -164,6 +164,15 @@ class TestQrRetract:
             stiefel.qr_retract(U, xi)
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+@pytest.mark.parametrize("retract", list(stiefel.RETRACTIONS.values()))
+def test_wide_frame_is_rejected(retract, shape):
+    # more columns than rows cannot be orthonormal; the QR factor would drop
+    # a column and the polar factor would not be a frame
+    with pytest.raises(DimensionError, match=r"has more columns than rows$"):
+        retract(np.zeros(shape), np.ones(shape))
+
+
 @pytest.mark.parametrize("retract", [stiefel.polar_retract, stiefel.qr_retract])
 def test_second_order_residual_slope(retract):
     # residual ||GR(U; xi) - (U + xi)|| = O(||xi||^2) for tangent xi
