@@ -12,7 +12,7 @@ rng = np.random.default_rng(0)
 # A frame is a d x r matrix with orthonormal columns.
 d, r = 8, 3
 U = stiefel.random_frame(d, r, rng)
-print("U^T U deviation from identity:", np.max(np.abs(U.T @ U - np.eye(r))))
+print("U^T U deviation from identity:", stiefel.orthonormality_deviation(U))
 
 # Any update direction splits into a tangent and a normal part.
 xi = rng.standard_normal((d, r))
@@ -23,9 +23,9 @@ print("tangent antisymmetry residual:", np.max(np.abs(tangent.T @ U + U.T @ tang
 
 # Retractions map U + xi back onto the manifold while preserving its span.
 for name, retract in (("polar", stiefel.polar_retract), ("qr", stiefel.qr_retract)):
-    W = retract(U, 0.2 * xi)
+    W = stiefel.require_frame(retract(U, 0.2 * xi))  # raises unless orthonormal
     ref = stiefel.orthonormalize(U + 0.2 * xi)
-    print(f"{name:5s}: orthonormal={stiefel.is_orthonormal(W)}, "
+    print(f"{name:5s}: U^T U deviation {stiefel.orthonormality_deviation(W):.1e}, "
           f"span distance to U+xi = {np.sqrt(stiefel.subspace_distance(W, ref)):.2e}")
 
 # The polar retraction is the Frobenius-nearest frame; QR is close but not

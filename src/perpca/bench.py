@@ -43,12 +43,6 @@ def _rich_sparse_counts(n, n_clients):
     return [n] * half + [max(n // 10, 1)] * (n_clients - half)
 
 
-def log_slope(xs, ys):
-    """Least-squares slope of log(y) against log(x)."""
-    return float(np.polyfit(np.log(np.asarray(xs, float)),
-                            np.log(np.asarray(ys, float)), 1)[0])
-
-
 def fit_convergence_slope(gaps):
     """Slope (per round) of log10 optimality gap over its decaying stretch.
 

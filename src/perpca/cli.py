@@ -290,10 +290,21 @@ def cmd_bench(args):
     return 0
 
 
+def _load_components(directory):
+    """Saved frames after the frame rule: as one state when there is a shared frame."""
+    U, V = fileio.load_components(directory)
+    if U is not None:
+        model.ComponentState(U, V).validate()
+    else:
+        for i, Vi in enumerate(V):
+            stiefel.require_frame(Vi, f"local frame {i}")
+    return U, V
+
+
 def cmd_eval(args):
     opt = _resolve(args)
     _, datasets = _load_datasets(args.data, opt)
-    U, V = fileio.load_components(opt["components"])
+    U, V = _load_components(opt["components"])
     per_client = []
     for i, Y in enumerate(datasets):
         Vi = V[i] if i < len(V) else None
@@ -323,7 +334,7 @@ def cmd_eval(args):
 def cmd_cluster(args):
     t0 = time.time()
     opt = _resolve(args)
-    _, V = fileio.load_components(opt["components"])
+    _, V = _load_components(opt["components"])
     if len(V) < 2:
         raise SystemExit(f"need at least two local frames in {opt['components']}")
     rho = metrics.rho_matrix(V)

@@ -42,18 +42,17 @@ _FMT = "%.17g"
 _FORK_MIN_BYTES = 2 << 20
 
 
-def save_matrix(path, M, fmt="csv", header=None):
+def save_matrix(path, M, header=None):
+    """Write a matrix file in the format its suffix selects, as :func:`load_matrix` reads it."""
     path = Path(path)
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if fmt == "csv":
+    if _format_of(path) == "csv":
         np.savetxt(path, M, fmt=_FMT, delimiter=",",
                    header=",".join(header) if header else "", comments="")
-    elif fmt == "bin":
+    else:
         with open(path, "wb") as fh:
             fh.write(np.array(M.shape, dtype="<u8").tobytes())
             fh.write(np.ascontiguousarray(M, dtype="<f8").tobytes())
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     return path
 
 
@@ -204,7 +203,7 @@ def save_datasets(out_dir, datasets, fmt="csv", header=False):
     def save(i):
         Y = datasets[i]
         cols = [f"x{j}" for j in range(Y.shape[0])] if header and fmt == "csv" else None
-        save_matrix(paths[i], Y.T, fmt, cols)
+        save_matrix(paths[i], Y.T, cols)
 
     payload = 8 * sum(np.size(Y) for Y in datasets)
     with _each_file(save, paths, [fmt] * len(paths), payload) as saved:
@@ -270,9 +269,9 @@ def save_components(out_dir, U=None, V=None, fmt="csv", prefix=""):
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     if U is not None:
-        paths.append(save_matrix(out_dir / f"{prefix}U.{_ext(fmt)}", U, fmt))
+        paths.append(save_matrix(out_dir / f"{prefix}U.{_ext(fmt)}", U))
     for i, Vi in enumerate(V or []):
-        paths.append(save_matrix(out_dir / f"{prefix}V_{i}.{_ext(fmt)}", Vi, fmt))
+        paths.append(save_matrix(out_dir / f"{prefix}V_{i}.{_ext(fmt)}", Vi))
     return paths
 
 

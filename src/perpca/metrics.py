@@ -6,14 +6,13 @@ eigenvalue bound and the direct-sum bracketing inequalities.
 
 import numpy as np
 
-from . import stacks, stiefel
+from . import model, stacks, stiefel
 from .errors import DimensionError, InvariantError
 from .rng import substream
 
 KMEANS_ITERS = 100
 KMEANS_RESTARTS = 20
 ARROWHEAD_SLACK = 1e-10  # rounding allowance on lambda_max(N B B^T) <= 1
-PROJECTOR_CROSS_TOL = 1e-8
 
 
 def truth_projectors(truth, n_clients, d):
@@ -223,7 +222,7 @@ def arrowhead_min_eig(B, N):
 def _require_projector_pair(P_u, P_v, who):
     if P_u.shape != P_v.shape or P_u.shape[0] != P_u.shape[1]:
         raise DimensionError(f"{who}: projectors must be square and equal-shaped")
-    if np.max(np.abs(P_u @ P_v)) > PROJECTOR_CROSS_TOL:
+    if np.max(np.abs(P_u @ P_v)) > model.CROSS_TOL:
         raise InvariantError(f"{who}: projectors are not cross-orthogonal")
 
 

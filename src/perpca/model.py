@@ -48,16 +48,20 @@ class ComponentState:
         return len(self.V)
 
     def validate(self):
-        """Raise unless all orthonormality and cross-orthogonality invariants hold."""
-        stiefel.require_frame(self.U, name="shared frame")
-        for i, Vi in enumerate(self.V):
-            stacks.require_shape(Vi, self.d, f"local frame {i}")
-            stiefel.require_frame(Vi, name=f"local frame {i}")
-            dev = np.max(np.abs(self.U.T @ Vi))
-            if not dev <= CROSS_TOL:
-                raise InvariantError(
-                    f"client {i}: shared/local cross product {dev:.3e} exceeds {CROSS_TOL:.1e}"
-                )
+        """Raise unless all orthonormality and cross-orthogonality invariants hold (NaN
+        fails), checking the local frames as one stack per rank group. An error names
+        the lowest-numbered failing client, orthonormality before cross-orthogonality."""
+        U = stiefel.require_frame(self.U, name="shared frame")
+        failing = {}  # the cross product of each failing client
+        for clients, Vg in zip(*stacks.by_rank(self.V, U.shape[0])):
+            cross = np.max(np.abs(U.T @ Vg), axis=(1, 2))
+            ok = (stiefel.orthonormality_deviation(Vg) <= stiefel.ORTH_TOL) & (cross <= CROSS_TOL)
+            failing.update(zip(clients[~ok].tolist(), cross[~ok]))
+        if failing:
+            i = min(failing)
+            stiefel.require_frame(self.V[i], name=f"local frame {i}")  # raises when not orthonormal
+            raise InvariantError(
+                f"client {i}: shared/local cross product {failing[i]:.3e} exceeds {CROSS_TOL:.1e}")
         return self
 
 
@@ -65,10 +69,12 @@ def local_ranks(r1, r2, n_clients, d):
     """The one rank rule: the clients' local ranks from an int or a per-client list ``r2``.
 
     Raises ``DimensionError`` for a list of other length than ``n_clients`` and
-    ``ValueError`` for ``r1 < 1``, a local rank below 1 (naming the first such
+    ``ValueError`` for ``r1 < 1``, no clients, a local rank below 1 (naming the first such
     client) or ``r1 + max(r2) > d``."""
     if r1 < 1:
         raise ValueError("r1 must be >= 1")
+    if n_clients < 1:
+        raise ValueError("need at least one client")
     r2 = [int(r2)] * n_clients if np.ndim(r2) == 0 else [int(v) for v in r2]
     if len(r2) != n_clients:
         raise DimensionError(f"{len(r2)} local ranks for {n_clients} clients")
@@ -195,25 +201,15 @@ def objective(state, covs):
 def reconstruction_error(Y, U, V=None):
     """Mean squared residual (1/n) ||Y - (P_U + P_V) Y||_F^2.
 
-    ``V`` may be None when a single frame captures everything retained.
-    Requires U^T V = 0 so that P_U + P_V is itself a projector.
+    ``V`` may be None when a single frame captures everything retained. The frames
+    must pass :meth:`ComponentState.validate`: U^T V = 0 makes P_U + P_V a projector.
     """
     Y = np.asarray(Y, dtype=float)
-    U = np.asarray(U, dtype=float)
-    if Y.ndim != 2 or U.shape[0] != Y.shape[0]:
-        raise DimensionError(f"data {Y.shape} and frame {U.shape} disagree on d")
-    fitted = U @ (U.T @ Y)
-    if V is not None:
-        V = np.asarray(V, dtype=float)
-        if V.shape[0] != Y.shape[0]:
-            raise DimensionError(f"data {Y.shape} and frame {V.shape} disagree on d")
-        dev = np.max(np.abs(U.T @ V))
-        if dev > CROSS_TOL:
-            raise InvariantError(
-                f"frames not cross-orthogonal: {dev:.3e} exceeds {CROSS_TOL:.1e}"
-            )
-        fitted = fitted + V @ (V.T @ Y)
-    resid = Y - fitted
+    frames = [np.asarray(F, dtype=float) for F in ([U] if V is None else [U, V])]
+    ComponentState(frames[0], frames[1:]).validate()
+    if Y.ndim != 2 or frames[0].shape[0] != Y.shape[0]:
+        raise DimensionError(f"data {Y.shape} and frame {frames[0].shape} disagree on d")
+    resid = Y - sum(F @ (F.T @ Y) for F in frames)
     return float(np.sum(resid * resid)) / Y.shape[1]
 
 

@@ -9,35 +9,32 @@ are never mutated.
 
 import numpy as np
 
+from . import stacks
 from .errors import DimensionError, InvariantError, SingularityError
 
 ORTH_TOL = 1e-10
 RANK_TOL = 1e-12
 
 
-def is_orthonormal(U, tol=ORTH_TOL):
-    """True when the columns of U are orthonormal within ``tol`` (max-abs)."""
-    U = np.asarray(U)
-    if U.ndim != 2 or U.shape[0] < U.shape[1]:
-        return False
-    gram = U.T @ U
-    return bool(np.max(np.abs(gram - np.eye(U.shape[1]))) <= tol)
+def orthonormality_deviation(F):
+    """The one orthonormality measure: max|F^T F - I| of a frame, or of each frame of
+    an ``(n, d, r)`` stack; NaN where ``F`` holds NaN."""
+    F = np.asarray(F, dtype=float)
+    gram = np.swapaxes(F, -1, -2) @ F
+    return np.max(np.abs(gram - np.eye(F.shape[-1])), axis=(-2, -1))
 
 
-def require_frame(U, tol=ORTH_TOL, name="frame"):
-    """Validate a frame and return it as a float ndarray."""
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2:
-        raise DimensionError(f"{name} must be 2-d, got shape {U.shape}")
-    d, r = U.shape
-    if not 1 <= r <= d:
-        raise DimensionError(f"{name} needs 1 <= r <= d, got d={d}, r={r}")
-    dev = np.max(np.abs(U.T @ U - np.eye(r)))
-    if not dev <= tol:  # NaN fails too
+def require_frame(F, name="frame"):
+    """``F`` as a float frame: ``DimensionError`` unless it passes :func:`stacks.require_shape`,
+    ``InvariantError`` unless orthonormal within ``ORTH_TOL``, both naming ``name``."""
+    F = np.asarray(F, dtype=float)
+    stacks.require_shape(F, F.shape[0] if F.ndim else 0, name)
+    dev = orthonormality_deviation(F)
+    if not dev <= ORTH_TOL:  # NaN fails too
         raise InvariantError(
-            f"{name} columns not orthonormal: deviation {dev:.3e} exceeds {tol:.1e}"
+            f"{name} columns not orthonormal: deviation {dev:.3e} exceeds {ORTH_TOL:.1e}"
         )
-    return U
+    return F
 
 
 def _check_pair(U, xi, stacked=False):
@@ -159,8 +156,7 @@ def random_frame(d, r, rng):
     """Haar-ish random frame: QR of a Gaussian matrix with positive R diagonal."""
     if not 1 <= r <= d:
         raise DimensionError(f"need 1 <= r <= d, got d={d}, r={r}")
-    Q, R = np.linalg.qr(rng.standard_normal((d, r)))
-    return Q * np.where(np.diagonal(R) < 0, -1.0, 1.0)
+    return _qr_factor(rng.standard_normal((d, r)))[0]
 
 
 def orthonormalize(M):

@@ -38,8 +38,6 @@ class GenerativeSpec:
     groups: Optional[Sequence[int]] = None  # clients with equal labels share V
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be positive")
         model.local_ranks(self.r1, int(self.r2), self.N, self.d)  # one rank for all clients
         if np.ndim(self.n_per_client) == 0:
             self.n_per_client = [int(self.n_per_client)] * self.N

@@ -1,5 +1,5 @@
-"""Client-by-client reference implementations of the stacked diagnostics
-and baselines.
+"""Client-by-client reference implementations of the stacked diagnostics,
+baselines and state validation.
 
 The package computes these quantities over stacks of clients; the loops
 below compute them one client at a time, in ascending client order, and
@@ -8,8 +8,8 @@ the tests require the package to match them bitwise.
 
 import numpy as np
 
-from perpca import baselines, model
-from perpca.errors import DimensionError, SingularityError
+from perpca import baselines, model, stacks, stiefel
+from perpca.errors import DimensionError, InvariantError, SingularityError
 
 
 def _checked(state, covs):
@@ -67,6 +67,30 @@ def subspace_error(state, truth):
     err = subspace_distance(state.U, U_true)
     local = [subspace_distance(Vi, Wi) for Vi, Wi in zip(state.V, V_true)]
     return err + float(np.mean(local))
+
+
+def _require_orthonormal(F, name):
+    dev = np.max(np.abs(F.T @ F - np.eye(F.shape[1])))
+    if not dev <= stiefel.ORTH_TOL:  # NaN fails too
+        raise InvariantError(
+            f"{name} columns not orthonormal: deviation {dev:.3e} exceeds {stiefel.ORTH_TOL:.1e}"
+        )
+
+
+def validate(state):
+    """``ComponentState.validate`` one client at a time: each local frame's shape,
+    orthonormality and cross product with the shared frame, in that order."""
+    stacks.require_shape(state.U, state.d, "shared frame")
+    _require_orthonormal(state.U, "shared frame")
+    for i, Vi in enumerate(state.V):
+        stacks.require_shape(Vi, state.d, f"local frame {i}")
+        _require_orthonormal(Vi, f"local frame {i}")
+        dev = np.max(np.abs(state.U.T @ Vi))
+        if not dev <= model.CROSS_TOL:
+            raise InvariantError(
+                f"client {i}: shared/local cross product {dev:.3e} exceeds {model.CROSS_TOL:.1e}"
+            )
+    return state
 
 
 def operator_norm(S, rel_tol=1e-6, max_iter=10000):

@@ -26,6 +26,18 @@ def _affine_fit(rounds, log_gaps):
     return coef[0], 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
 
 
+def log_slope(xs, ys):
+    """Least-squares slope of log(y) against log(x)."""
+    return float(np.polyfit(np.log(np.asarray(xs, float)),
+                            np.log(np.asarray(ys, float)), 1)[0])
+
+
+def test_log_slope_exact_powers():
+    xs = [1, 2, 4, 8]
+    assert log_slope(xs, [x**-1.0 for x in xs]) == pytest.approx(-1.0, abs=1e-12)
+    assert log_slope(xs, [x**2.0 for x in xs]) == pytest.approx(2.0, abs=1e-12)
+
+
 def _recovery_instance(seed):
     spec = synth.GenerativeSpec(
         d=15, N=5, r1=2, r2=3, n_per_client=100,
@@ -93,7 +105,7 @@ def test_criterion_03_consistency_slope():
     slopes = {}
     for method in ("perpca", "distpca"):
         pts = sorted((r["n"], r["mean"]) for r in rows if r["method"] == method)
-        slopes[method] = bench.log_slope([p[0] for p in pts], [p[1] for p in pts])
+        slopes[method] = log_slope([p[0] for p in pts], [p[1] for p in pts])
     ok = (
         -1.25 <= slopes["perpca"] <= -0.75
         and -0.15 <= slopes["distpca"] <= 0.15
@@ -110,7 +122,7 @@ def test_criterion_03_consistency_slope():
 def test_criterion_04_dimension_scaling():
     rows = bench.error_vs_d(repeats=3, seed0=0)
     pts = sorted((r["d"], r["mean"]) for r in rows if r["method"] == "perpca")
-    slope = bench.log_slope([p[0] for p in pts], [p[1] for p in pts])
+    slope = log_slope([p[0] for p in pts], [p[1] for p in pts])
     ok = 1.5 <= slope <= 2.5
     _report(
         4, "error-vs-d scaling", ok,

@@ -60,12 +60,6 @@ def test_format_csv_union_header():
     assert lines[1].endswith(",10") and ",,," not in lines[0]
 
 
-def test_log_slope_exact_powers():
-    xs = [1, 2, 4, 8]
-    assert bench.log_slope(xs, [x**-1.0 for x in xs]) == pytest.approx(-1.0, abs=1e-12)
-    assert bench.log_slope(xs, [x**2.0 for x in xs]) == pytest.approx(2.0, abs=1e-12)
-
-
 def test_fit_convergence_slope_ignores_floor():
     # geometric decay followed by a flat numerical floor
     gaps = np.concatenate([10.0 ** -(0.1 * np.arange(100)), np.full(100, 1e-16)])

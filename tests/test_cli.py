@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from perpca import bench, checks, cli, fileio, solver, stiefel, synth
-from perpca.errors import DimensionError
+from perpca.errors import DimensionError, InvariantError
 
 
 def run(*argv):
@@ -206,6 +206,25 @@ class TestBaselineEvalCluster:
         from perpca.metrics import adjusted_rand_index
 
         assert adjusted_rand_index(got, truth) == pytest.approx(1.0)
+
+    # r1 = r2 = 1, so a local frame can equal the shared column
+    @pytest.mark.parametrize("command, defect, message", [
+        ("eval", "2U", r"^shared frame columns not orthonormal: "),
+        ("eval", "V1=U", r"^client 1: shared/local cross product "),
+        ("cluster", "3V1", r"^local frame 1 columns not orthonormal: "),
+    ], ids=["eval-2U", "eval-V1=U", "cluster-3V1"])
+    def test_frames_off_the_frame_rule_are_rejected(self, synth_dir, tmp_path, command, defect,
+                                                     message):
+        fit_out = tmp_path / "fit"
+        run("fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 30, "--seed", 5, "--out", fit_out)
+        U = fileio.load_matrix(fit_out / "U.csv")
+        V1 = fileio.load_matrix(fit_out / "V_1.csv")
+        name, frame = {"2U": ("U.csv", 2 * U), "V1=U": ("V_1.csv", U),
+                       "3V1": ("V_1.csv", 3 * V1)}[defect]
+        fileio.save_matrix(fit_out / name, frame)
+        argv = ["eval", synth_dir] if command == "eval" else ["cluster", "--out", tmp_path / "cl"]
+        with pytest.raises(InvariantError, match=message):
+            run(*argv, "--components", fit_out)
 
 
 class TestCheck:

@@ -280,14 +280,67 @@ def test_state_validation():
             bad.validate()
 
 
+# One-defect states for ComponentState.validate at d=8, r1=2 and seven clients;
+# the stacked pass must raise what the client-by-client reference raises.
+_R2_MIXED = [1, 3, 2, 3, 1, 2, 3]
+
+
+def _with_defect(state, defect, k):
+    U, V = state.U.copy(), [Vi.copy() for Vi in state.V]
+    if defect == "nan-U":
+        U[3, 1] = np.nan
+    elif defect == "nan-V":
+        V[k][2, 0] = np.nan
+    elif defect == "not-orthonormal":
+        V[k] = 1.5 * V[k]
+    elif defect == "not-orthogonal":  # still orthonormal: the shared column is orthogonal to V_k
+        V[k][:, 0] = U[:, 0]
+    else:  # "shape"
+        V[k] = np.vstack([V[k], np.zeros((1, V[k].shape[1]))])
+    return model.ComponentState(U, V)
+
+
+@pytest.mark.parametrize("r2", [2, _R2_MIXED], ids=["equal", "mixed"])
+@pytest.mark.parametrize("defect, k", [("nan-U", 0)] + [
+    (defect, k) for defect in ("not-orthonormal", "not-orthogonal", "nan-V", "shape")
+    for k in (0, 3, 6)])
+def test_stacked_validate_raises_what_the_client_loop_raises(r2, defect, k):
+    rng = _rng(30)
+    U = stiefel.random_frame(8, 2, rng)
+    V = []
+    for r in (r2 if isinstance(r2, list) else [r2] * 7):
+        raw = rng.standard_normal((8, r))
+        V.append(stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw)))
+    good = model.ComponentState(U, V)
+    assert good.validate() is good and ref.validate(good) is good
+    bad = _with_defect(good, defect, k)
+    with pytest.raises((DimensionError, InvariantError)) as expected:
+        ref.validate(bad)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        bad.validate()
+
+
+def test_orthonormality_deviation_of_a_stack_is_that_of_each_frame():
+    rng = _rng(31)
+    for r in (1, 2, 5):
+        F = rng.standard_normal((6, 9, r)) * 1e-3 + np.eye(9, r)
+        F[4, 0, 0] = np.nan
+        dev = stiefel.orthonormality_deviation(F)
+        for i in range(len(F)):
+            np.testing.assert_array_equal(dev[i], stiefel.orthonormality_deviation(F[i]))
+
+
 # The rank rule (model.local_ranks) at every entry point that takes ranks, at
 # d=5 with three clients: each case raises the same type and message everywhere.
+# "no-clients" applies where the rank list alone sets the client count.
 _RANK_CASES = {
     "r1-zero": (0, [1, 1, 1], ValueError, "r1 must be >= 1"),
     "client-2-zero": (1, [1, 1, 0], ValueError, "client 2: local rank must be >= 1, got 0"),
     "wrong-length": (1, [1, 1], DimensionError, "2 local ranks for 3 clients"),
     "over-d": (2, [1, 4, 1], ValueError, "r1 + max(r2) = 6 exceeds dimension 5"),
+    "no-clients": (1, [], ValueError, "need at least one client"),
 }
+_THREE_CLIENTS = ("r1-zero", "client-2-zero", "wrong-length", "over-d")
 _COVS = [np.diag([5.0, 4.0, 3.0, 2.0, 1.0]) + 0.1 * i * np.eye(5) for i in range(3)]
 
 
@@ -302,17 +355,19 @@ def _baseline_cli(method):
 
 _RANK_ENTRIES = {
     "run_perpca-distpca": (lambda r1, r2, _: solver.run_perpca(
-        _COVS, solver.SolverConfig(r1=r1, r2=r2, rounds=2)), _RANK_CASES),
+        _COVS, solver.SolverConfig(r1=r1, r2=r2, rounds=2)), _THREE_CLIENTS),
     "run_perpca-random": (lambda r1, r2, _: solver.run_perpca(
-        _COVS, solver.SolverConfig(r1=r1, r2=r2, rounds=2, init="random")), _RANK_CASES),
-    "init_random": (lambda r1, r2, _: solver.init_random(5, r1, r2, 0),
-                    ("r1-zero", "client-2-zero", "over-d")),  # the list sets the count
-    "init_distpca": (lambda r1, r2, _: solver.init_distpca(_COVS, r1, r2, 0), _RANK_CASES),
-    "distpca_global": (lambda r1, r2, _: baselines.distpca_global(_COVS, r1, r2), _RANK_CASES),
-    "distpca": (lambda r1, r2, _: baselines.distpca(_COVS, r1, r2), _RANK_CASES),
-    **{f"cli-baseline-{m}": (_baseline_cli(m), _RANK_CASES) for m in ("distpca", "indiv", "cpca")},
+        _COVS, solver.SolverConfig(r1=r1, r2=r2, rounds=2, init="random")), _THREE_CLIENTS),
+    "init_random": (lambda r1, r2, _: solver.init_random(5, r1, r2, 0),  # the list sets the count
+                    ("r1-zero", "client-2-zero", "over-d", "no-clients")),
+    "init_distpca": (lambda r1, r2, _: solver.init_distpca(_COVS, r1, r2, 0), _THREE_CLIENTS),
+    "distpca_global": (lambda r1, r2, _: baselines.distpca_global(_COVS, r1, r2), _THREE_CLIENTS),
+    "distpca": (lambda r1, r2, _: baselines.distpca(_COVS, r1, r2), _THREE_CLIENTS),
+    **{f"cli-baseline-{m}": (_baseline_cli(m), _THREE_CLIENTS)
+       for m in ("distpca", "indiv", "cpca")},
     "GenerativeSpec": (lambda r1, r2, _: synth.GenerativeSpec(
-        d=5, N=3, r1=r1, r2=max(r2), n_per_client=10), ("r1-zero", "over-d")),  # one int r2
+        d=5, N=len(r2), r1=r1, r2=max(r2, default=1), n_per_client=10),
+        ("r1-zero", "over-d", "no-clients")),  # one int r2
 }
 
 

@@ -47,7 +47,7 @@ class TestCorrectionStep:
             V_half = stiefel.random_frame(7, 3, rng)
             out = solver.correction_step(V_half, U_new, retraction)
             assert np.max(np.abs(U_new.T @ out)) < 1e-10
-            assert stiefel.is_orthonormal(out)
+            stiefel.require_frame(out)
 
     def test_rank_collapse(self):
         U = np.eye(3)[:, :2]
@@ -85,8 +85,8 @@ class TestClientUpdates:
         U, V = _feasible_pair(6, 2, 2, rng)
         S = _psd(6, rng, 5.0)
         cand, half = solver.client_update_choice1(U, V, S, 0.3)
-        assert stiefel.is_orthonormal(half)
-        assert not stiefel.is_orthonormal(cand, tol=1e-6)
+        stiefel.require_frame(half)
+        assert stiefel.orthonormality_deviation(cand) > 1e-6
 
     @pytest.mark.parametrize("choice", [1, 2])
     def test_single_client_recovers_top_eigenspace(self, choice):
