@@ -48,7 +48,11 @@ def distpca_global(covs, r1, r2_list):
     :func:`model.local_ranks`.
     """
     covs = model.covariance_stack(covs)
-    r2_list = model.local_ranks(r1, r2_list, len(covs), covs.shape[1])
+    return _distpca_global(covs, r1, model.local_ranks(r1, r2_list, len(covs), covs.shape[1]))
+
+
+def _distpca_global(covs, r1, r2_list):
+    # distpca_global over a checked stack and rank list
     width = r1 + max(r2_list)
     frames = top_eigvecs(covs, width) * (1.0 - _TIE_BREAK * np.arange(width))
     stacked = np.concatenate([F[:, :r1 + r2] for F, r2 in zip(frames, r2_list)], axis=1)
@@ -71,7 +75,7 @@ def distpca(covs, r1, r2_list):
     """
     covs = model.covariance_stack(covs)
     r2_list = model.local_ranks(r1, r2_list, len(covs), covs.shape[1])
-    U = distpca_global(covs, r1, r2_list)
+    U = _distpca_global(covs, r1, r2_list)
     deflated = covs - U @ (U.T @ covs)
     deflated = deflated - (deflated @ U) @ U.T
     frames = top_eigvecs((deflated + np.swapaxes(deflated, 1, 2)) / 2.0, max(r2_list))

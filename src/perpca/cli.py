@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, bench, checks, fileio, metrics, model, solver, stiefel, synth
+from .errors import DimensionError
 
 
 def _int_list(value):
@@ -228,7 +229,7 @@ def cmd_fit(args):
         seed=opt["seed"], stepsize_scale=opt["stepsize_scale"],
         stop_subspace_tol=opt["stop_tol"],
     )
-    truth = fileio.load_components(opt["truth"], prefix="truth_") if opt["truth"] else None
+    truth = _load_components(opt["truth"], prefix="truth_") if opt["truth"] else None
     state, trace = solver.run_perpca(covs, config, truth=truth)
     out = Path(opt["out"])
     outputs = fileio.save_components(out, state.U, state.V, fmt=opt["fmt"])
@@ -252,17 +253,19 @@ def cmd_baseline(args):
     t0 = time.time()
     opt = _resolve(args)
     data_paths, datasets, covs = _load_inputs(args.data, opt)
-    r2_list = model.local_ranks(opt["r1"], _int_list(opt["r2"]), len(covs), len(covs[0]))
+    r1, r2 = opt["r1"], _int_list(opt["r2"])
+    if opt["method"] != "distpca":  # distpca checks the ranks itself
+        r_total = r1 + max(model.local_ranks(r1, r2, len(covs), len(covs[0])))
     out = Path(opt["out"])
     if opt["method"] == "distpca":
-        state = baselines.distpca(covs, opt["r1"], r2_list)
+        state = baselines.distpca(covs, r1, r2)
         outputs = fileio.save_components(out, state.U, state.V, fmt=opt["fmt"])
     elif opt["method"] == "indiv":
-        frames = baselines.indiv_pca(covs, opt["r1"] + max(r2_list))
+        frames = baselines.indiv_pca(covs, r_total)
         outputs = fileio.save_components(out, None, frames, fmt=opt["fmt"])
     else:
         counts = [Y.shape[1] for Y in datasets]
-        frame = baselines.central_pca(covs, counts, opt["r1"] + max(r2_list))
+        frame = baselines.central_pca(covs, counts, r_total)
         outputs = fileio.save_components(out, frame, None, fmt=opt["fmt"])
     manifest = fileio.write_manifest(
         out, "baseline", opt, inputs=data_paths, outputs=outputs,
@@ -290,9 +293,9 @@ def cmd_bench(args):
     return 0
 
 
-def _load_components(directory):
+def _load_components(directory, prefix=""):
     """Saved frames after the frame rule: as one state when there is a shared frame."""
-    U, V = fileio.load_components(directory)
+    U, V = fileio.load_components(directory, prefix)
     if U is not None:
         model.ComponentState(U, V).validate()
     else:
@@ -303,23 +306,23 @@ def _load_components(directory):
 
 def cmd_eval(args):
     opt = _resolve(args)
-    _, datasets = _load_datasets(args.data, opt)
+    data_paths, datasets = _load_datasets(args.data, opt)
     U, V = _load_components(opt["components"])
-    per_client = []
-    for i, Y in enumerate(datasets):
-        Vi = V[i] if i < len(V) else None
-        if U is not None:
-            per_client.append(model.reconstruction_error(Y, U, Vi))
-        elif Vi is not None:
-            per_client.append(model.reconstruction_error(Y, Vi))
-        else:
-            raise SystemExit(f"no components available for client {i}")
+    # one local frame per data file; a shared frame alone (cpca) serves every client
+    if (V or U is None) and len(V) != len(datasets):
+        first = (f"no V_{len(V)} for {data_paths[len(V)]}" if len(V) < len(datasets)
+                 else f"V_{len(datasets)} has no data file")
+        raise DimensionError(f"{len(V)} local frames in {opt['components']} for "
+                             f"{len(datasets)} data files: {first}")
+    per_client = [model.reconstruction_error(Y, Vi) if U is None
+                  else model.reconstruction_error(Y, U, Vi)
+                  for Y, Vi in zip(datasets, V or [None] * len(datasets))]
     result = {
         "recon_error_per_client": per_client,
         "recon_error_mean": float(np.mean(per_client)),
     }
     if opt["truth"]:
-        truth = fileio.load_components(opt["truth"], prefix="truth_")
+        truth = _load_components(opt["truth"], prefix="truth_")
         if U is None or not V:
             raise SystemExit("subspace error needs both shared and local components")
         result["subspace_error"] = metrics.subspace_error(model.ComponentState(U, V), truth)

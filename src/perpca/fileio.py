@@ -276,19 +276,25 @@ def save_components(out_dir, U=None, V=None, fmt="csv", prefix=""):
 
 
 def load_components(comp_dir, prefix=""):
-    """Read ``<prefix>U`` and ``<prefix>V_<i>`` files; either may be absent."""
+    """Read ``<prefix>U`` and ``<prefix>V_<i>`` files; either may be absent.
+
+    There must be at most one file per frame and the ``V_<i>`` files must be
+    one per client ``i = 0, 1, ...``: a second file for one frame, or a gap,
+    raises a ValueError naming the first such file.
+    """
     comp_dir = Path(comp_dir)
-    U = None
-    for ext in ("csv", "mat64"):
-        path = comp_dir / f"{prefix}U.{ext}"
-        if path.exists():
-            U = load_matrix(path)
-            break
+    shared = [path for ext in ("csv", "mat64") if (path := comp_dir / f"{prefix}U.{ext}").exists()]
+    if len(shared) > 1:
+        raise ValueError(f"{shared[1]}: a second file for the shared frame")
+    U = load_matrix(shared[0]) if shared else None
     pattern = re.compile(re.escape(prefix) + r"V_(\d+)\.(csv|mat64)$")
-    found = [(int(m.group(1)), p) for p in comp_dir.iterdir()
-             if (m := pattern.match(p.name))]
-    V = [load_matrix(p) for _, p in sorted(found)]
-    return U, V
+    found = sorted((int(m.group(1)), p) for p in comp_dir.iterdir()
+                   if (m := pattern.match(p.name)))
+    for i, (index, path) in enumerate(found):
+        if index != i:
+            raise ValueError(f"{path}: " + (f"a second file for client {index}" if index < i
+                                            else f"no {prefix}V_{i} file before it"))
+    return U, [load_matrix(path) for _, path in found]
 
 
 def save_trace(path, trace):

@@ -69,8 +69,6 @@ class SolverConfig:
                 raise ValueError(f"stepsize must be positive or 'auto', got {self.stepsize!r}")
         elif self.stepsize <= 0:
             raise ValueError("explicit stepsize must be positive")
-        if self.r1 < 1:
-            raise ValueError("r1 must be >= 1")
         if self.stepsize_scale <= 0:
             raise ValueError("stepsize_scale must be positive")
 
@@ -137,7 +135,12 @@ def operator_norm(S):
 
 def auto_stepsize(covs, r, scale=0.5):
     """Constant stepsize scale / (G_max * sqrt(r)), G_max the largest operator norm."""
-    g_max = float(np.max(operator_norm(model.covariance_stack(covs))))
+    return _auto_stepsize(model.covariance_stack(covs), r, scale)
+
+
+def _auto_stepsize(covs, r, scale):
+    # auto_stepsize over a checked stack
+    g_max = float(np.max(operator_norm(covs)))
     if g_max <= 0.0:
         raise ValueError("all covariances are zero; no scale to derive a stepsize from")
     return scale / (g_max * np.sqrt(r))
@@ -151,6 +154,11 @@ def init_random(d, r1, r2_list, seed):
     follow :func:`model.local_ranks`.
     """
     r2_list = model.local_ranks(r1, r2_list, len(r2_list), d)
+    return model.ComponentState(*_init_random(d, r1, r2_list, seed)).validate()
+
+
+def _init_random(d, r1, r2_list, seed):
+    # init_random's (U, V) for checked ranks
     shared_raw = substream(seed, "init").standard_normal((d, r1))
     U = None
     V = []
@@ -162,20 +170,25 @@ def init_random(d, r1, r2_list, seed):
         if U is None:
             U = Q[:, :r1]
         V.append(Q[:, r1:])
-    return model.ComponentState(U, V).validate()
+    return U, V
 
 
 def init_distpca(covs, r1, r2_list, seed):
     """Shared frame from one-shot distributed PCA, local frames random-then-corrected."""
-    U = baselines.distpca_global(covs, r1, r2_list)
-    d = U.shape[0]
-    r2_list = model.local_ranks(r1, r2_list, len(covs), d)
+    covs = model.covariance_stack(covs)
+    r2_list = model.local_ranks(r1, r2_list, len(covs), covs.shape[1])
+    return model.ComponentState(*_init_distpca(covs, r1, r2_list, seed)).validate()
+
+
+def _init_distpca(covs, r1, r2_list, seed):
+    # init_distpca's (U, V) for a checked stack and rank list
+    U = baselines._distpca_global(covs, r1, r2_list)
     V = []
     for i, r2 in enumerate(r2_list):
-        raw = substream(seed, "init", i + 1).standard_normal((d, r2))
+        raw = substream(seed, "init", i + 1).standard_normal((U.shape[0], r2))
         deflated = raw - U @ (U.T @ raw)
         V.append(stiefel.qr_retract(np.zeros_like(deflated), deflated))
-    return model.ComponentState(U, V).validate()
+    return U, V
 
 
 def _mT(A):
@@ -241,17 +254,12 @@ def client_update_choice2(U, V, S, eta):
 def server_aggregate(U_candidates, U_prev, retraction="polar"):
     """Average the clients' shared-frame candidates and retract at U_prev.
 
-    ``U_candidates`` is a sequence of ``U_prev``-shaped arrays or a stack
-    ``(N, d, r1)``. They are summed in ascending client order, as a running
-    sum, so the result does not depend on how numpy would reduce the axis.
+    ``U_candidates`` is the stack ``(N, d, r1)`` of candidates. They are
+    summed in ascending client order, as a running sum, so the result does
+    not depend on how numpy would reduce the axis.
     """
     if len(U_candidates) == 0:
         raise ValueError("no candidates to aggregate")
-    if not isinstance(U_candidates, np.ndarray):
-        for i, C in enumerate(U_candidates):
-            if np.shape(C) != U_prev.shape:
-                raise DimensionError(
-                    f"candidate {i} has shape {np.shape(C)}, expected {U_prev.shape}")
     stack = np.asarray(U_candidates, dtype=float)
     if stack.shape[1:] != U_prev.shape:
         raise DimensionError(
@@ -308,20 +316,20 @@ def run_perpca(covs, config, truth=None):
     r2_list = model.local_ranks(config.r1, config.r2, len(covs), d)
 
     if config.init == "random":
-        state = init_random(d, config.r1, r2_list, config.seed)
+        U, V = _init_random(d, config.r1, r2_list, config.seed)
     else:
-        state = init_distpca(covs, config.r1, r2_list, config.seed)
+        U, V = _init_distpca(covs, config.r1, r2_list, config.seed)
 
     if config.stop_subspace_tol is not None and truth is None:
         raise ValueError("early stopping on subspace error needs ground truth")
     if config.rounds == 0:
-        return state, []
+        return model.ComponentState(U, V).validate(), []
     projectors = None
     if truth is not None and (config.record_trace or config.stop_subspace_tol is not None):
         projectors = metrics.truth_projectors(truth, len(covs), d)
 
     if config.stepsize == "auto":
-        eta = auto_stepsize(covs, max([config.r1] + r2_list), config.stepsize_scale)
+        eta = _auto_stepsize(covs, max([config.r1] + r2_list), config.stepsize_scale)
     else:
         eta = float(config.stepsize)
 
@@ -330,9 +338,8 @@ def run_perpca(covs, config, truth=None):
         update, extra = client_update_choice1, (retraction,)
     else:
         update, extra = client_update_choice2, ()
-    groups, V = stacks.by_rank(state.V, d)
+    groups, V = stacks.by_rank(V, d)
     group_covs = [covs[clients] for clients in groups]
-    U = state.U
     candidates = np.empty((len(covs), d, config.r1))
     trace = []
     for rnd in range(1, config.rounds + 1):

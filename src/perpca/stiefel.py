@@ -59,9 +59,7 @@ def project_tangent(U, xi):
 
     The result rho satisfies rho^T U + U^T rho = 0.
     """
-    U, xi = _check_pair(U, xi)
-    sym = U.T @ xi
-    return xi - U @ ((sym + sym.T) / 2.0)
+    return xi - project_normal(U, xi)
 
 
 def _retract(U, xi, factor, margin_name):

@@ -143,6 +143,22 @@ class TestFit:
         assert [v.shape[1] for v in V] == [1, 2, 1]
 
 
+# a fit of the three synth clients with its component files changed
+_COMPONENT_FILE_CASES = [
+    ("eval", "drop V_1", ValueError, r"V_2\.csv: no V_1 file before it$"),
+    ("cluster", "drop V_1", ValueError, r"V_2\.csv: no V_1 file before it$"),
+    ("cluster", "drop V_0", ValueError, r"V_1\.csv: no V_0 file before it$"),
+    ("eval", "drop V_0", ValueError, r"V_1\.csv: no V_0 file before it$"),
+    ("eval", "twice V_0", ValueError, r"V_0\.mat64: a second file for client 0$"),
+    ("eval", "drop V_2", DimensionError,
+     r"^2 local frames in \S+ for 3 data files: no V_2 for \S+client_2\.csv$"),
+    ("eval", "add V_3", DimensionError,
+     r"^4 local frames in \S+ for 3 data files: V_3 has no data file$"),
+    ("eval", "drop all", DimensionError,
+     r"^0 local frames in \S+ for 3 data files: no V_0 for \S+client_0\.csv$"),
+]
+
+
 class TestBaselineEvalCluster:
     def test_baseline_methods(self, synth_dir, tmp_path):
         for method, has_U, n_V in (("distpca", True, 3), ("indiv", False, 3),
@@ -225,6 +241,38 @@ class TestBaselineEvalCluster:
         argv = ["eval", synth_dir] if command == "eval" else ["cluster", "--out", tmp_path / "cl"]
         with pytest.raises(InvariantError, match=message):
             run(*argv, "--components", fit_out)
+
+
+    @pytest.mark.parametrize("command, change, kind, message", _COMPONENT_FILE_CASES,
+                             ids=[f"{c[0]}-{c[1].replace(' ', '-')}"
+                                  for c in _COMPONENT_FILE_CASES])
+    def test_component_files_must_match_the_clients(self, synth_dir, tmp_path, command, change,
+                                                    kind, message):
+        fit_out = tmp_path / "fit"
+        run("fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 30, "--seed", 5, "--out", fit_out)
+        what, name = change.split()
+        if what == "drop":
+            for path in fit_out.glob("[UV]*.csv" if name == "all" else f"{name}.csv"):
+                path.unlink()
+        elif what == "twice":
+            fileio.save_matrix(fit_out / f"{name}.mat64", fileio.load_matrix(fit_out / "V_0.csv"))
+        else:
+            fileio.save_matrix(fit_out / f"{name}.csv", fileio.load_matrix(fit_out / "V_0.csv"))
+        argv = ["eval", synth_dir] if command == "eval" else ["cluster", "--out", tmp_path / "cl"]
+        with pytest.raises(kind, match=message) as exc:
+            run(*argv, "--components", fit_out)
+        assert type(exc.value) is kind
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_truth_off_the_frame_rule_is_rejected(self, synth_dir, tmp_path, command):
+        fit_out = tmp_path / "fit"
+        run("fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 30, "--seed", 5, "--out", fit_out)
+        truth_U = synth_dir / "truth_U.csv"
+        fileio.save_matrix(truth_U, 2 * fileio.load_matrix(truth_U))
+        argv = (["fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 5, "--out", tmp_path / "f2"]
+                if command == "fit" else ["eval", synth_dir, "--components", fit_out])
+        with pytest.raises(InvariantError, match=r"^shared frame columns not orthonormal: "):
+            run(*argv, "--truth", synth_dir)
 
 
 class TestCheck:

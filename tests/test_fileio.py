@@ -139,6 +139,26 @@ class TestComponents:
         assert len(V_t) == 1 and len(V_f) == 2
         assert np.array_equal(U_f, 2 * U)
 
+    @pytest.mark.parametrize("prefix", ["", "truth_"])
+    @pytest.mark.parametrize("defect, message", [
+        ("gap", r"V_2\.csv: no {}V_1 file before it$"),
+        ("first", r"V_1\.csv: no {}V_0 file before it$"),
+        ("twice", r"V_0\.mat64: a second file for client 0$"),
+        ("shared-twice", r"{}U\.mat64: a second file for the shared frame$"),
+    ], ids=["gap", "first", "twice", "shared-twice"])
+    def test_local_frames_load_as_a_complete_client_sequence(self, tmp_path, prefix, defect,
+                                                               message):
+        frames = [np.eye(4)[:, i:i + 1] for i in range(3)]
+        fileio.save_components(tmp_path, np.eye(4)[:, 3:], frames, prefix=prefix)
+        if defect.endswith("twice"):
+            name = "U" if defect == "shared-twice" else "V_0"
+            fileio.save_matrix(tmp_path / f"{prefix}{name}.mat64", frames[0])
+        else:
+            (tmp_path / f"{prefix}V_{1 if defect == 'gap' else 0}.csv").unlink()
+        with pytest.raises(ValueError, match=message.format(prefix)) as exc:
+            fileio.load_components(tmp_path, prefix)
+        assert str(tmp_path) in str(exc.value)
+
 
 def test_trace_round_trip(tmp_path):
     trace = [

@@ -1,3 +1,4 @@
+import collections
 import re
 
 import numpy as np
@@ -65,10 +66,35 @@ def _client_one_bad(case):
 
 _STATE = _random_state(3, 1, 1, 3, _rng(9))
 
-# every public function that takes client covariances
+
+@pytest.fixture()
+def checks_run(monkeypatch):
+    """Calls of each boundary rule, and of ``stacks.by_rank``, while a test runs."""
+    counts = collections.Counter()
+    for owner, name in [(model, "covariance_stack"), (model, "local_ranks"),
+                        (model.ComponentState, "validate"), (stacks, "by_rank")]:
+        def counted(*args, _rule=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _rule(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def _solve(rounds=2, **config):
+    return lambda c: solver.run_perpca(c, solver.SolverConfig(r1=1, r2=1, rounds=rounds, **config))
+
+
+# every public function that takes client covariances; run_perpca at zero and
+# more rounds, with both inits and both kinds of stepsize
 _TAKES_COVS = {
-    "run_perpca": lambda c: solver.run_perpca(c, solver.SolverConfig(r1=1, r2=1, rounds=2)),
+    "run_perpca": _solve(),
+    "run_perpca-random": _solve(init="random"),
+    "run_perpca-eta": _solve(stepsize=0.1),
+    "run_perpca-random-eta": _solve(init="random", stepsize=0.1),
+    "run_perpca-rounds0": _solve(rounds=0),
+    "run_perpca-random-rounds0": _solve(init="random", rounds=0),
     "auto_stepsize": lambda c: solver.auto_stepsize(c, 2),
+    "init_distpca": lambda c: solver.init_distpca(c, 1, 1, 0),
     "objective": lambda c: model.objective(_STATE, c),
     "kkt_residual": lambda c: model.kkt_residual(_STATE, c),
     "mean_reconstruction_error": lambda c: model.mean_reconstruction_error(_STATE, c),
@@ -96,6 +122,20 @@ class TestCovarianceStack:
             _TAKES_COVS[name](_client_one_bad(case))
         assert info.type in (ValueError, DimensionError)
         assert (info.type is DimensionError) == (case == "ragged")
+
+    @pytest.mark.parametrize("name", sorted(_TAKES_COVS))
+    def test_each_public_call_checks_the_covariances_once(self, name, checks_run):
+        result = _TAKES_COVS[name]([_random_cov(3, _rng(i)) for i in range(3)])
+        state = result[0] if isinstance(result, tuple) else result
+        assert checks_run["covariance_stack"] == 1
+        assert checks_run["local_ranks"] <= 1
+        # a returned state passed the frame rule exactly once
+        assert checks_run["validate"] == isinstance(state, model.ComponentState)
+        if name.startswith("run_perpca"):
+            # by_rank: one grouping for the rounds, if any, and one in the final validate
+            assert (checks_run["local_ranks"], checks_run["by_rank"]) == (1, 1 + bool(result[1]))
+        else:
+            assert checks_run["by_rank"] <= 1
 
     def test_scale_range_is_inclusive_and_allows_zero(self):
         low, high = model.SCALE_RANGE
@@ -378,6 +418,13 @@ def test_rank_rule_at_every_entry_point(entry, case, tmp_path):
     with pytest.raises(kind, match=f"^{re.escape(message)}$") as exc:
         _RANK_ENTRIES[entry][0](r1, r2, tmp_path)
     assert type(exc.value) is kind
+
+
+@pytest.mark.parametrize("entry", sorted(_RANK_ENTRIES))
+def test_each_entry_point_checks_the_ranks_once(entry, tmp_path, checks_run):
+    _RANK_ENTRIES[entry][0](1, [1, 1, 1], tmp_path)
+    assert checks_run["local_ranks"] == 1
+    assert checks_run["covariance_stack"] <= 1 and checks_run["validate"] <= 1
 
 
 @pytest.mark.parametrize("bad", ["rows", "1-d", "wide"])

@@ -107,7 +107,7 @@ class TestClientUpdates:
 class TestServerAggregate:
     def test_consensus_is_fixed_point(self):
         U = stiefel.random_frame(6, 2, _rng(6))
-        out = solver.server_aggregate([U.copy(), U.copy(), U.copy()], U)
+        out = solver.server_aggregate(np.array([U, U, U]), U)
         assert np.allclose(out, U, atol=1e-12)
 
     def test_column_space_of_mean(self):
@@ -115,17 +115,16 @@ class TestServerAggregate:
         U_prev = stiefel.random_frame(6, 2, rng)
         c1 = U_prev + 0.1 * rng.standard_normal((6, 2))
         c2 = 2 * U_prev - c1  # symmetric about U_prev
-        out = solver.server_aggregate([c1, c2], U_prev)
+        out = solver.server_aggregate(np.array([c1, c2]), U_prev)
         mean_basis = stiefel.orthonormalize((c1 + c2) / 2)
         assert np.sqrt(stiefel.subspace_distance(out, mean_basis)) < 1e-8
 
     def test_fixed_order_determinism(self):
         rng = _rng(8)
         U_prev = stiefel.random_frame(5, 2, rng)
-        cands = [U_prev + 0.05 * rng.standard_normal((5, 2)) for _ in range(4)]
+        cands = np.array([U_prev + 0.05 * rng.standard_normal((5, 2)) for _ in range(4)])
         a = solver.server_aggregate(cands, U_prev)
-        b = solver.server_aggregate(list(cands), U_prev)
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, solver.server_aggregate(cands, U_prev))
         permuted = solver.server_aggregate(cands[::-1], U_prev)
         assert np.max(np.abs(permuted - a)) < 1e-13
 
@@ -254,7 +253,7 @@ class TestRunPerpca:
             c, h = solver.client_update_choice1(state.U, state.V[i], S, eta)
             cands.append(c)
             halves.append(h)
-        U_next = solver.server_aggregate(cands, state.U)
+        U_next = solver.server_aggregate(np.array(cands), state.U)
         mid = max(np.linalg.norm(U_next.T @ h) for h in halves)
         assert 1e-6 < mid < 10 * eta  # infeasible by roughly one step
         corrected = [solver.correction_step(h, U_next) for h in halves]
@@ -473,7 +472,6 @@ class TestStackedClients:
         ascending = sequential(range(9))
         assert not np.array_equal(ascending, sequential(range(8, -1, -1)))
         assert np.array_equal(solver.server_aggregate(cands, U_prev), ascending)
-        assert np.array_equal(solver.server_aggregate(list(cands), U_prev), ascending)
 
     @pytest.mark.parametrize("r2", [1, [1, 2, 2, 1]])
     def test_singularity_names_first_failing_client(self, r2):

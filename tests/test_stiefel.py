@@ -48,6 +48,19 @@ class TestProjections:
         assert np.allclose(tangent + normal, xi, atol=1e-13)
         assert abs(float(np.sum(tangent * normal))) < 1e-12
 
+    @given(st.integers(0, 500), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_tangent_is_xi_minus_normal_bitwise(self, seed, integer):
+        # the tangent projection reuses project_normal; it must give the bits of
+        # the formula it replaced, for float and integer updates alike
+        rng = _rng(seed)
+        U = stiefel.random_frame(6, 3, rng)
+        xi = rng.integers(-5, 6, (6, 3)) if integer else rng.standard_normal((6, 3))
+        xf = xi.astype(float)
+        sym = U.T @ xf
+        np.testing.assert_array_equal(stiefel.project_tangent(U, xi),
+                                      xf - U @ ((sym + sym.T) / 2.0))
+
     @given(st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_pythagoras(self, seed):
