@@ -192,9 +192,10 @@ def cmd_synth(args):
             i * opt["groups"] // opt["N"] for i in range(opt["N"])],
     )
     truth = synth.generate_components(spec)
-    datasets = synth.generate_observations(truth, spec)
     out = Path(opt["out"])
-    outputs = fileio.save_datasets(out, datasets, fmt=opt["fmt"], header=opt["header"])
+    outputs = fileio.write_clients(out, lambda i: synth.client_observations(truth, spec, i),
+                                   [(spec.d, n) for n in spec.n_per_client],
+                                   fmt=opt["fmt"], header=opt["header"])
     outputs += fileio.save_components(out, truth.U_true, truth.V_true,
                                       fmt=opt["fmt"], prefix="truth_")
     manifest = fileio.write_manifest(
@@ -207,21 +208,20 @@ def cmd_synth(args):
     return 0
 
 
-def _load_datasets(paths, opt):
-    data_paths = fileio.resolve_data_paths(paths)
-    return data_paths, fileio.load_datasets(data_paths, header=opt["header"],
-                                            center=opt["center"])
-
-
-def _load_inputs(paths, opt):
-    data_paths, datasets = _load_datasets(paths, opt)
-    return data_paths, datasets, [model.covariance(Y) for Y in datasets]
+def _read_covariances(sources, opt):
+    """The sha256 of each data file's bytes by path, and the clients' covariances and
+    sample counts, each computed where its file was read."""
+    paths = fileio.resolve_data_paths(sources)
+    replies = fileio.read_clients(paths, lambda i, Y: model.covariance(Y), opt["header"],
+                                  opt["center"], digest=True)
+    digests = {path: digest for path, (digest, _, _) in zip(paths, replies)}
+    return digests, [S for _, _, S in replies], [shape[1] for _, shape, _ in replies]
 
 
 def cmd_fit(args):
     t0 = time.time()
     opt = _resolve(args)
-    data_paths, datasets, covs = _load_inputs(args.data, opt)
+    digests, covs, _ = _read_covariances(args.data, opt)
     config = solver.SolverConfig(
         r1=opt["r1"], r2=_int_list(opt["r2"]), rounds=opt["rounds"],
         stepsize=_stepsize(opt["eta"]), choice=opt["choice"],
@@ -242,7 +242,7 @@ def cmd_fit(args):
         final["objective_decreases"] = sum(b.objective < a.objective - 1e-12
                                            for a, b in zip(trace, trace[1:]))
     manifest = fileio.write_manifest(
-        out, "fit", opt, inputs=data_paths, outputs=outputs,
+        out, "fit", opt, inputs=digests, outputs=outputs,
         metrics=final, wall_time_s=time.time() - t0,
     )
     print(f"fit finished in {len(trace)} recorded rounds; wrote {manifest}")
@@ -252,7 +252,7 @@ def cmd_fit(args):
 def cmd_baseline(args):
     t0 = time.time()
     opt = _resolve(args)
-    data_paths, datasets, covs = _load_inputs(args.data, opt)
+    digests, covs, counts = _read_covariances(args.data, opt)
     r1, r2 = opt["r1"], _int_list(opt["r2"])
     if opt["method"] != "distpca":  # distpca checks the ranks itself
         r_total = r1 + max(model.local_ranks(r1, r2, len(covs), len(covs[0])))
@@ -264,11 +264,10 @@ def cmd_baseline(args):
         frames = baselines.indiv_pca(covs, r_total)
         outputs = fileio.save_components(out, None, frames, fmt=opt["fmt"])
     else:
-        counts = [Y.shape[1] for Y in datasets]
         frame = baselines.central_pca(covs, counts, r_total)
         outputs = fileio.save_components(out, frame, None, fmt=opt["fmt"])
     manifest = fileio.write_manifest(
-        out, "baseline", opt, inputs=data_paths, outputs=outputs,
+        out, "baseline", opt, inputs=digests, outputs=outputs,
         wall_time_s=time.time() - t0,
     )
     print(f"baseline {opt['method']} wrote {len(outputs)} files and {manifest}")
@@ -306,17 +305,25 @@ def _load_components(directory, prefix=""):
 
 def cmd_eval(args):
     opt = _resolve(args)
-    data_paths, datasets = _load_datasets(args.data, opt)
+    data_paths = fileio.resolve_data_paths(args.data)
     U, V = _load_components(opt["components"])
     # one local frame per data file; a shared frame alone (cpca) serves every client
-    if (V or U is None) and len(V) != len(datasets):
-        first = (f"no V_{len(V)} for {data_paths[len(V)]}" if len(V) < len(datasets)
-                 else f"V_{len(datasets)} has no data file")
+    if (V or U is None) and len(V) != len(data_paths):
+        first = (f"no V_{len(V)} for {data_paths[len(V)]}" if len(V) < len(data_paths)
+                 else f"V_{len(data_paths)} has no data file")
         raise DimensionError(f"{len(V)} local frames in {opt['components']} for "
-                             f"{len(datasets)} data files: {first}")
-    per_client = [model.reconstruction_error(Y, Vi) if U is None
-                  else model.reconstruction_error(Y, U, Vi)
-                  for Y, Vi in zip(datasets, V or [None] * len(datasets))]
+                             f"{len(data_paths)} data files: {first}")
+    frames = [[F for F in (U, Vi) if F is not None] for Vi in V or [None] * len(data_paths)]
+
+    def error(i, Y):  # None when the frames have another d, raised below in client order
+        return (model._reconstruction_error(Y, frames[i])
+                if Y.shape[0] == frames[i][0].shape[0] else None)
+
+    replies = fileio.read_clients(data_paths, error, opt["header"], opt["center"])
+    for (_, shape, err), F in zip(replies, frames):
+        if err is None:
+            raise DimensionError(f"data {shape} and frame {F[0].shape} disagree on d")
+    per_client = [err for _, _, err in replies]
     result = {
         "recon_error_per_client": per_client,
         "recon_error_mean": float(np.mean(per_client)),
@@ -366,31 +373,38 @@ def cmd_check(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
-def build_parser():
+def build_parser(command=None):
     """The ``perpca`` parser, built from :data:`COMMANDS` and :data:`OPTIONS`.
 
     Each subcommand dispatches to the ``cmd_<name>`` attribute of this
-    module as it is when the parser is built.
+    module as it is when the parser is built. Given a ``command``, the parser
+    has that subcommand alone: enough to parse, and print the help of, an
+    argv that starts with it.
     """
     parser = argparse.ArgumentParser(
         prog="perpca",
         description="shared and client-specific principal components from "
                     "heterogeneous datasets",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        p.set_defaults(func=globals()[f"cmd_{command}"])
-        if command in TAKES_DATA:
+    # with one subcommand built, the usage line still names them all
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if command else None)
+    for name in [command] if command else COMMANDS:
+        p = sub.add_parser(name, help=COMMANDS[name])
+        p.set_defaults(func=globals()[f"cmd_{name}"])
+        if name in TAKES_DATA:
             p.add_argument("data", nargs="+", help="client data files or directories")
         p.add_argument("--config", help="JSON file with defaults for this command")
-        for option in _options_of(command):
+        for option in _options_of(name):
             option.add_to(p)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has no options but --help, so argv[0] names the command
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     return args.func(args)
 
 

@@ -6,20 +6,31 @@ significant digits, which round-trips float64 exactly. The binary
 ``.mat64`` format is two little-endian uint64 (rows, cols) followed by
 row-major little-endian float64 payload.
 
-``save_datasets`` and ``load_datasets`` write and read the client CSV files
-in forked worker processes, one file per task, when that can pay off: every
-file is CSV, there are at least two files, at least two CPUs are usable,
-the ``fork`` start method exists, the process has a single thread and is
-not a daemon, and the payload (float64 bytes written, file bytes read) is
-at least ``_FORK_MIN_BYTES``. Otherwise, and always for ``.mat64``, they run
-a serial loop. Both paths write the same bytes and load the same bits, and
-raise the error the serial loop would have raised first. Workers inherit
-the data to write by fork and send what they read as raw float64 bytes, so
-no array is pickled either way.
+Each client file is one task: :func:`write_clients` draws a client's
+dataset in the process that writes it, and :func:`read_clients` parses a
+file, optionally centres it and reduces it in the process that read it.
+Only the task's result reaches the caller. Per file, ``perpca fit`` and
+``baseline`` receive the sha256 of the parsed bytes, the dataset's shape
+and its covariance; ``perpca eval`` receives the shape and the
+reconstruction error; :func:`load_datasets` (the identity reduction)
+receives the dataset itself; ``synth`` receives nothing. ``eval`` loads
+and checks the components before it reads any data file, so when both
+are bad the component error is the one raised.
+
+The tasks run in forked worker processes, one file per task, when that
+can pay off: every file is CSV, there are at least two files, at least
+two CPUs are usable, the ``fork`` start method exists, the process has a
+single thread and is not a daemon, and the payload (float64 bytes
+written, file bytes read) is at least ``_FORK_MIN_BYTES``. Otherwise, and
+always for ``.mat64``, a serial loop runs the tasks one file at a time.
+Both paths write the same bytes and give the same bits, and raise the
+error the serial loop would have raised first. Workers inherit what they
+need by fork and pickle only their results back.
 """
 
 import contextlib
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -36,6 +47,9 @@ from .solver import RoundTrace
 
 MANIFEST_VERSION = 1
 _FMT = "%.17g"
+# rows per ``%`` call of the CSV writer: one call per matrix is no faster,
+# and its temporaries cost more memory than the file's own values
+_CSV_BLOCK_ROWS = 64
 
 # Forking and joining two workers costs 6-9 ms on a 2-vCPU host; 2 MiB is
 # about 0.13 s of serial CSV writing (2^18 values) or 50 ms of parsing.
@@ -43,12 +57,22 @@ _FORK_MIN_BYTES = 2 << 20
 
 
 def save_matrix(path, M, header=None):
-    """Write a matrix file in the format its suffix selects, as :func:`load_matrix` reads it."""
+    """Write a matrix file in the format its suffix selects, as :func:`load_matrix` reads it.
+
+    CSV bytes equal those of ``np.savetxt(path, M, fmt="%.17g", delimiter=",",
+    header=..., comments="")``, formatted one block of rows per ``%`` call.
+    """
     path = Path(path)
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if _format_of(path) == "csv":
-        np.savetxt(path, M, fmt=_FMT, delimiter=",",
-                   header=",".join(header) if header else "", comments="")
+        row = ",".join([_FMT] * M.shape[1]) + "\n"
+        head = ",".join(header) if header else ""
+        with open(path, "w") as fh:  # as np.savetxt opens it
+            if head:
+                fh.write(head + "\n")
+            for start in range(0, M.shape[0], _CSV_BLOCK_ROWS):
+                block = M[start:start + _CSV_BLOCK_ROWS]
+                fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
     else:
         with open(path, "wb") as fh:
             fh.write(np.array(M.shape, dtype="<u8").tobytes())
@@ -56,24 +80,28 @@ def save_matrix(path, M, header=None):
     return path
 
 
-def load_matrix(path, header=False):
+def load_matrix(path, header=False, raw=None):
     """Read a matrix file; a ValueError names the file when it is malformed.
 
     The format follows the suffix: ``.mat64`` is binary, anything else CSV.
     A ``.mat64`` payload must hold exactly the rows x cols values its header
     announces; in either format there must be at least one value, and every
-    value must be finite.
+    value must be finite. ``raw`` is the file's bytes when the caller has
+    read them already; they are parsed instead of reading ``path`` again.
     """
     path = Path(path)
+    if raw is None:
+        raw = path.read_bytes()
     if _format_of(path) == "csv":
         try:
             with warnings.catch_warnings():  # an empty file raises below instead
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                M = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+                # decoded as open(path) would decode the file
+                M = np.loadtxt(io.TextIOWrapper(io.BytesIO(raw)), delimiter=",",
+                               skiprows=1 if header else 0, ndmin=2)
         except ValueError as exc:  # UnicodeDecodeError included
             raise ValueError(f"{path}: {exc}") from exc
     else:
-        raw = path.read_bytes()
         if len(raw) < 16:
             raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 16-byte header")
         rows, cols = (int(n) for n in np.frombuffer(raw[:16], dtype="<u8"))
@@ -82,7 +110,7 @@ def load_matrix(path, header=False):
                              f"({8 * rows * cols} bytes), payload has {len(raw) - 16} bytes")
         if len(raw) == 16:  # checked before reshape, which overflows on a huge empty axis
             raise ValueError(f"{path}: header announces {rows} x {cols}, no values")
-        M = np.frombuffer(raw[16:], dtype="<f8").reshape(rows, cols).copy()
+        M = np.frombuffer(raw, dtype="<f8", offset=16).reshape(rows, cols).copy()
     if M.size == 0:
         raise ValueError(f"{path}: no values")
     if not np.isfinite(M).all():
@@ -122,36 +150,26 @@ def _worker_count(fmts, payload_bytes):
 def _serve(conn, task, indices):
     """Worker body: ``task(i)`` for each index, one reply each, in order.
 
-    A reply is ``(True, None)`` for a task that returned None, ``(True,
-    shape)`` followed by the raw float64 bytes for one that returned a
-    matrix, and ``(False, exception)`` for one that raised; the worker stops
-    after the first exception.
+    A reply is ``(True, result)`` for a task that returned and ``(False,
+    exception)`` for one that raised; the worker stops after the first
+    exception.
     """
     for i in indices:
         try:
-            M = task(i)
+            conn.send((True, task(i)))
         except Exception as exc:
             conn.send((False, exc))
             return
-        conn.send((True, None if M is None else M.shape))
-        if M is not None:
-            conn.send_bytes(M.reshape(-1))
 
 
 def _reply(conn, path):
-    """A worker's result for ``path``: None or the matrix it read.
+    """A worker's result for ``path``.
 
     Re-raises the worker's exception; a worker that exited without
     replying raises RuntimeError naming ``path``.
     """
     try:
         ok, value = conn.recv()
-        if ok and value is not None:
-            M = np.empty(value)
-            # recv_bytes_into sizes a buffer by len(), the first axis of a
-            # 2-D view, so the bytes go through a 1-D view of M
-            conn.recv_bytes_into(M.reshape(-1))
-            value = M
     except EOFError:
         raise RuntimeError(f"{path}: worker process exited without replying") from None
     if not ok:
@@ -194,22 +212,33 @@ def _each_file(task, paths, fmts, payload_bytes):
             conn.close()
 
 
-def save_datasets(out_dir, datasets, fmt="csv", header=False):
-    """Write one observations-as-rows file per client; returns the paths."""
+def write_clients(out_dir, draw, shapes, fmt="csv", header=False):
+    """Write ``draw(i)``, client i's ``(d, n_i)`` dataset of ``shapes[i]``, as an
+    observations-as-rows file per client; returns the paths.
+
+    Each dataset is drawn in the process that writes it, one client at a
+    time, so the caller never holds more than one.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / f"client_{i}.{_ext(fmt)}" for i in range(len(datasets))]
+    paths = [out_dir / f"client_{i}.{_ext(fmt)}" for i in range(len(shapes))]
 
     def save(i):
-        Y = datasets[i]
+        Y = draw(i)
         cols = [f"x{j}" for j in range(Y.shape[0])] if header and fmt == "csv" else None
         save_matrix(paths[i], Y.T, cols)
 
-    payload = 8 * sum(np.size(Y) for Y in datasets)
+    payload = 8 * sum(d * n for d, n in shapes)
     with _each_file(save, paths, [fmt] * len(paths), payload) as saved:
         for _ in saved:
             pass
     return paths
+
+
+def save_datasets(out_dir, datasets, fmt="csv", header=False):
+    """Write one observations-as-rows file per client; returns the paths."""
+    return write_clients(out_dir, datasets.__getitem__, [np.shape(Y) for Y in datasets],
+                         fmt, header)
 
 
 _CLIENT_FILE = re.compile(r"client_(\d+)\.(csv|mat64)$")
@@ -238,29 +267,40 @@ def _file_bytes(paths):
         return 0
 
 
-def load_datasets(paths, header=False, center=False):
-    """Load client data files into (d, n_i) arrays, optionally mean-centering."""
+def read_clients(paths, reduce, header=False, center=False, digest=False):
+    """``(digest, shape, reduce(i, Y))`` of each client file, in file order.
+
+    ``Y`` is file i's ``(d, n_i)`` dataset, mean-centred when ``center``, and
+    ``shape`` is its shape. ``digest`` asks for the sha256 of the bytes that
+    were parsed; otherwise the first entry is None. Each file is read once,
+    and parsed and reduced in the process that read it. A file whose
+    feature count differs from the first file's raises DimensionError.
+    """
     paths = list(paths)
 
-    def load(i):
-        return load_matrix(paths[i], header=header)
+    def task(i):
+        raw = Path(paths[i]).read_bytes()
+        sha = hashlib.sha256(raw).hexdigest() if digest else None
+        Y = load_matrix(paths[i], header=header, raw=raw).T
+        del raw  # not held while reducing
+        if center:
+            Y = Y - Y.mean(axis=1, keepdims=True)
+        return sha, Y.shape, reduce(i, Y)
 
-    datasets = []
-    d = None
+    replies = []
     fmts = [_format_of(p) for p in paths]
-    with _each_file(load, paths, fmts, _file_bytes(paths)) as matrices:
-        for path, M in zip(paths, matrices):
-            Y = M.T
-            if d is None:
-                d = Y.shape[0]
-            elif Y.shape[0] != d:
-                raise DimensionError(
-                    f"{path}: {Y.shape[0]} features, earlier files have {d}"
-                )
-            if center:
-                Y = Y - Y.mean(axis=1, keepdims=True)
-            datasets.append(Y)
-    return datasets
+    with _each_file(task, paths, fmts, _file_bytes(paths)) as results:
+        for path, reply in zip(paths, results):
+            d = reply[1][0]
+            if replies and d != replies[0][1][0]:
+                raise DimensionError(f"{path}: {d} features, earlier files have {replies[0][1][0]}")
+            replies.append(reply)
+    return replies
+
+
+def load_datasets(paths, header=False, center=False):
+    """Load client data files into (d, n_i) arrays, optionally mean-centering."""
+    return [Y for _, _, Y in read_clients(paths, lambda i, Y: Y, header, center)]
 
 
 def save_components(out_dir, U=None, V=None, fmt="csv", prefix=""):
@@ -314,9 +354,13 @@ def file_digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir, command, flags, inputs=(), outputs=(), metrics=None,
+def write_manifest(out_dir, command, flags, inputs=None, outputs=(), metrics=None,
                    wall_time_s=None):
-    """One manifest per command run; returns the manifest path."""
+    """One manifest per command run; returns the manifest path.
+
+    ``inputs`` maps each input file to the sha256 of the bytes the command
+    read from it (see :func:`read_clients`).
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -324,7 +368,7 @@ def write_manifest(out_dir, command, flags, inputs=(), outputs=(), metrics=None,
         "command": command,
         "flags": flags,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "input_digests": {str(p): file_digest(p) for p in inputs},
+        "input_digests": {str(p): digest for p, digest in (inputs or {}).items()},
         "outputs": [str(p) for p in outputs],
         "metrics": metrics or {},
         "wall_time_s": wall_time_s,

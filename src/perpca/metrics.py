@@ -15,12 +15,16 @@ KMEANS_RESTARTS = 20
 ARROWHEAD_SLACK = 1e-10  # rounding allowance on lambda_max(N B B^T) <= 1
 
 
-def truth_projectors(truth, n_clients, d):
-    """Projectors ``(P_U*, P_V*)`` of a ``(U_true, V_true_list)`` pair, or of an object
-    with ``U_true`` and ``V_true``; ``P_V*`` stacks the local ones as ``(N, d, d)``.
-    A frame count other than ``n_clients``, or a frame that breaks
-    :func:`stacks.require_shape`, raises ``DimensionError`` naming it."""
+def truth_projectors(truth, groups, d):
+    """A ``(U_true, V_true_list)`` pair, or an object with ``U_true`` and ``V_true``,
+    prepared for :func:`stacked_subspace_error` over the clients ``groups[g]`` (see
+    :mod:`perpca.stacks`): ``P_U*``, the ``(n_g, d, d)`` stack of each group's ``P_V*``,
+    and one scratch stack of that shape per group, which every call overwrites so that
+    it allocates no ``(n_g, d, d)`` array. A frame count other than the number of
+    clients, or a frame that breaks :func:`stacks.require_shape`, raises
+    ``DimensionError`` naming it."""
     U, V = (truth.U_true, truth.V_true) if hasattr(truth, "U_true") else truth
+    n_clients = sum(len(clients) for clients in groups)
     if len(V) != n_clients:
         raise DimensionError(f"{len(V)} true local frames for {n_clients} clients")
     stacks.require_shape(U, d, "true shared frame")
@@ -28,17 +32,22 @@ def truth_projectors(truth, n_clients, d):
     for clients, W in zip(*stacks.by_rank(V, d, "true local frame")):
         P_V[clients] = W @ np.swapaxes(W, 1, 2)
     U = np.asarray(U, dtype=float)
-    return U @ U.T, P_V
+    grouped = [P_V[clients] for clients in groups]
+    return U @ U.T, grouped, [np.empty_like(P) for P in grouped]
 
 
 def stacked_subspace_error(U, V, groups, projectors):
-    """:func:`subspace_error` of ``U`` and the stacks ``V[g]`` of the clients ``groups[g]``
-    (see :mod:`perpca.stacks`), given :func:`truth_projectors`; equal to it bitwise."""
-    P_U, P_V = projectors
+    """:func:`subspace_error` of ``U`` and the stacks ``V[g]`` of the clients ``groups[g]``,
+    given :func:`truth_projectors` of the same groups; equal to it bitwise."""
+    P_U, P_V, scratch = projectors
     diff = U @ U.T - P_U
-    diffs = [Vg @ np.swapaxes(Vg, 1, 2) - P_V[clients] for clients, Vg in zip(groups, V)]
-    local = stacks.client_stack(groups, [np.sum(D * D, axis=(1, 2)) for D in diffs])
-    return float(np.sum(diff * diff)) + float(np.mean(local))
+    local = []
+    for Vg, P, D in zip(V, P_V, scratch):
+        np.matmul(Vg, np.swapaxes(Vg, 1, 2), out=D)
+        D -= P
+        D *= D
+        local.append(np.sum(D, axis=(1, 2)))
+    return float(np.sum(diff * diff)) + float(np.mean(stacks.client_stack(groups, local)))
 
 
 def subspace_error(state, truth):
@@ -49,8 +58,7 @@ def subspace_error(state, truth):
     """
     stacks.require_shape(state.U, state.d, "shared frame")
     groups, V = stacks.by_rank(state.V, state.d)
-    return stacked_subspace_error(state.U, V, groups,
-                                  truth_projectors(truth, state.n_clients, state.d))
+    return stacked_subspace_error(state.U, V, groups, truth_projectors(truth, groups, state.d))
 
 
 def rho_matrix(V_list):

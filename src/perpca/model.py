@@ -209,6 +209,12 @@ def reconstruction_error(Y, U, V=None):
     ComponentState(frames[0], frames[1:]).validate()
     if Y.ndim != 2 or frames[0].shape[0] != Y.shape[0]:
         raise DimensionError(f"data {Y.shape} and frame {frames[0].shape} disagree on d")
+    return _reconstruction_error(Y, frames)
+
+
+def _reconstruction_error(Y, frames):
+    """:func:`reconstruction_error` of a float ``(d, n)`` dataset and its validated
+    frames ``[U]`` or ``[U, V]`` of the same d."""
     resid = Y - sum(F @ (F.T @ Y) for F in frames)
     return float(np.sum(resid * resid)) / Y.shape[1]
 

@@ -22,10 +22,10 @@ The per-round trace is computed from the same stacks: one
 :func:`model.diagnostics` pass forms ``S_i U`` and ``S_i V_i`` once per
 client and derives the objective, both KKT residuals and the mean
 reconstruction error from them, and the subspace error compares each rank
-group's stack with truth projectors formed once per solve. The ``"auto"``
-stepsize runs the clients' power iterations as one stack. Each of these
-reduces over clients in ascending client order and equals a
-client-by-client loop bitwise.
+group's stack with truth projectors formed once per solve, in scratch
+stacks allocated with them. The ``"auto"`` stepsize runs the clients'
+power iterations as one stack. Each of these reduces over clients in
+ascending client order and equals a client-by-client loop bitwise.
 """
 
 from dataclasses import dataclass
@@ -324,9 +324,10 @@ def run_perpca(covs, config, truth=None):
         raise ValueError("early stopping on subspace error needs ground truth")
     if config.rounds == 0:
         return model.ComponentState(U, V).validate(), []
+    groups, V = stacks.by_rank(V, d)
     projectors = None
     if truth is not None and (config.record_trace or config.stop_subspace_tol is not None):
-        projectors = metrics.truth_projectors(truth, len(covs), d)
+        projectors = metrics.truth_projectors(truth, groups, d)
 
     if config.stepsize == "auto":
         eta = _auto_stepsize(covs, max([config.r1] + r2_list), config.stepsize_scale)
@@ -338,7 +339,6 @@ def run_perpca(covs, config, truth=None):
         update, extra = client_update_choice1, (retraction,)
     else:
         update, extra = client_update_choice2, ()
-    groups, V = stacks.by_rank(V, d)
     group_covs = [covs[clients] for clients in groups]
     candidates = np.empty((len(covs), d, config.r1))
     trace = []

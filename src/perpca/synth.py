@@ -153,23 +153,25 @@ def _scores(rng, shape, std, dist):
     return std * rng.standard_normal(shape)
 
 
-def generate_observations(truth, spec, test_split=0):
-    """Sample the client datasets for a planted truth.
+def client_observations(truth, spec, i, test_split=0):
+    """Client i's ``(d, n_i)`` dataset for a planted truth.
 
-    Returns one ``(d, n_i)`` array per client. Each client draws from its
-    own substream of ``spec.seed``, so changing N leaves earlier clients'
-    data untouched. ``test_split`` selects an independent replicate (0 is
-    the training draw).
+    Each client draws from its own substream of ``spec.seed``, so one
+    client's data does not depend on N or on the other clients' draws.
+    ``test_split`` selects an independent replicate (0 is the training
+    draw).
     """
-    datasets = []
-    for i in range(spec.N):
-        rng_s = substream(spec.seed, "scores", i, test_split)
-        rng_n = substream(spec.seed, "noise", i, test_split)
-        n = spec.n_per_client[i]
-        phi = _scores(rng_s, (spec.r1, n), spec.global_score_std, spec.score_dist)
-        psi = _scores(rng_s, (spec.r2, n), spec.local_score_std, spec.score_dist)
-        Y = truth.U_true @ phi + truth.V_true[i] @ psi
-        if spec.noise_std > 0:
-            Y = Y + spec.noise_std * rng_n.standard_normal((spec.d, n))
-        datasets.append(Y)
-    return datasets
+    rng_s = substream(spec.seed, "scores", i, test_split)
+    rng_n = substream(spec.seed, "noise", i, test_split)
+    n = spec.n_per_client[i]
+    phi = _scores(rng_s, (spec.r1, n), spec.global_score_std, spec.score_dist)
+    psi = _scores(rng_s, (spec.r2, n), spec.local_score_std, spec.score_dist)
+    Y = truth.U_true @ phi + truth.V_true[i] @ psi
+    if spec.noise_std > 0:
+        Y = Y + spec.noise_std * rng_n.standard_normal((spec.d, n))
+    return Y
+
+
+def generate_observations(truth, spec, test_split=0):
+    """Every client's :func:`client_observations`, one ``(d, n_i)`` array per client."""
+    return [client_observations(truth, spec, i, test_split) for i in range(spec.N)]

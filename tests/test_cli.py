@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perpca import bench, checks, cli, fileio, solver, stiefel, synth
+from perpca import bench, checks, cli, fileio, model, solver, stiefel, synth
 from perpca.errors import DimensionError, InvariantError
 
 
@@ -263,6 +263,20 @@ class TestBaselineEvalCluster:
             run(*argv, "--components", fit_out)
         assert type(exc.value) is kind
 
+    @pytest.mark.parametrize("truth", [False, True])
+    def test_eval_validates_each_frame_set_once(self, tmp_path, monkeypatch, truth):
+        data, fit_out = tmp_path / "data", tmp_path / "fit"
+        run("synth", "--d", 6, "--N", 9, "--r1", 1, "--r2", 1, "--n", 40, "--seed", 3,
+            "--out", data)
+        run("fit", data, "--r1", 1, "--r2", 1, "--rounds", 5, "--out", fit_out)
+        monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", 1 << 62)  # every call in this process
+        calls = []
+        validate = model.ComponentState.validate
+        monkeypatch.setattr(model.ComponentState, "validate",
+                            lambda state: calls.append(state.n_clients) or validate(state))
+        run("eval", data, "--components", fit_out, *(["--truth", data] if truth else []))
+        assert calls == [9] * (1 + truth)  # the components, then the truth
+
     @pytest.mark.parametrize("command", ["fit", "eval"])
     def test_truth_off_the_frame_rule_is_rejected(self, synth_dir, tmp_path, command):
         fit_out = tmp_path / "fit"
@@ -397,6 +411,19 @@ class TestOptionTable:
         monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.suite) or 0)
         assert run("check", "--suite", "arrowhead") == 0
         assert seen == [["arrowhead"]]
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([command, "--help"] for command in cli.COMMANDS), [],
+        ["nope"], ["fit"], ["fit", "data", "--bogus"], ["eval", "data", "--seed", "1"],
+    ], ids=lambda argv: "-".join(argv) or "none")
+    def test_main_prints_what_the_full_parser_prints(self, argv, capsys):
+        printed = []
+        for parse in (cli.main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            printed.append((exc.value.code, capsys.readouterr()))
+        assert printed[0] == printed[1]
+        assert printed[0][1].out or printed[0][1].err
 
     def test_readme_commands_parse(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -1,9 +1,16 @@
+import contextlib
+import io
+import itertools
 import json
 import multiprocessing
 import os
+import re
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from perpca import cli, fileio
+from perpca import cli, fileio, synth
 from perpca.errors import DimensionError
 from perpca.solver import RoundTrace
 
@@ -177,7 +184,7 @@ def test_trace_round_trip(tmp_path):
 def test_manifest_schema(tmp_path):
     data = fileio.save_matrix(tmp_path / "client_0.csv", np.zeros((2, 2)))
     path = fileio.write_manifest(
-        tmp_path, "fit", {"rounds": 3}, inputs=[data], outputs=[data],
+        tmp_path, "fit", {"rounds": 3}, inputs={data: fileio.file_digest(data)}, outputs=[data],
         metrics={"objective": 1.0}, wall_time_s=0.5,
     )
     payload = json.loads(path.read_text())
@@ -186,7 +193,7 @@ def test_manifest_schema(tmp_path):
         "outputs", "metrics", "wall_time_s",
     }
     assert payload["command"] == "fit"
-    assert list(payload["input_digests"].values())[0] == fileio.file_digest(data)
+    assert payload["input_digests"] == {str(data): fileio.file_digest(data)}
 
 
 @pytest.fixture()
@@ -363,6 +370,129 @@ class TestParallelFiles:
         assert serial_out == parallel_out
 
 
+def _forced(monkeypatch, mode):
+    """Client files through the serial loop, or through three forked workers even on one CPU."""
+    monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", 1 << 62 if mode == "serial" else 0)
+    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 1 if mode == "serial" else 3)
+
+
+@pytest.fixture()
+def fitted(tmp_path):
+    """Three synth clients at d=6 and a fit of them: ``(data paths, fit directory)``."""
+    data, fit = tmp_path / "data", tmp_path / "fit"
+    for args in (["synth", "--d", "6", "--N", "3", "--r1", "1", "--r2", "1", "--n", "80",
+                  "--noise-std", "0.2", "--seed", "5", "--out", data],
+                 ["fit", data, "--r1", "1", "--r2", "1", "--rounds", "10", "--out", fit]):
+        assert cli.main([str(a) for a in args]) == 0
+    return fileio.resolve_data_paths([data]), fit
+
+
+def _command(name, paths, fit, out):
+    argv = {"fit": ["fit", *paths, "--rounds", "5"],
+            "eval": ["eval", *paths, "--components", fit],
+            **{f"baseline-{m}": ["baseline", *paths, "--method", m]
+               for m in ("distpca", "indiv", "cpca")}}[name]
+    if name != "eval":
+        argv += ["--r1", "1", "--r2", "1"]
+    return [str(a) for a in argv + ["--out", out]]
+
+
+_READERS = ("fit", "baseline-distpca", "baseline-indiv", "baseline-cpca", "eval")
+
+
+def _break(path, defect):
+    if defect == "value":  # row 2, column 0 becomes nan
+        lines = path.read_text().splitlines()
+        lines[2] = "nan" + lines[2][lines[2].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+    else:  # four features instead of six
+        fileio.save_matrix(path, np.ones((5, 4)))
+
+
+@pytest.mark.usefixtures("deadline")
+class TestStreamedCommands:
+    """``synth``, ``fit``, ``baseline`` and ``eval`` stream their client files."""
+
+    # defects of client files 1 and 2, and the error of the first in file order
+    @pytest.mark.parametrize("defects, kind, message", [
+        (("value", None), ValueError, "{1}: non-finite value nan in row 2, column 0"),
+        (("features", None), DimensionError, "{1}: 4 features, earlier files have 6"),
+        (("features", "value"), DimensionError, "{1}: 4 features, earlier files have 6"),
+        (("value", "features"), ValueError, "{1}: non-finite value nan in row 2, column 0"),
+    ], ids=["value", "features", "features-then-value", "value-then-features"])
+    @pytest.mark.parametrize("command", _READERS)
+    @pytest.mark.parametrize("mode", ["serial", "forked"])
+    def test_bad_file_raises_the_first_error_in_file_order(self, fitted, tmp_path, monkeypatch,
+                                                           mode, command, defects, kind,
+                                                           message):
+        paths, fit = fitted
+        for path, defect in zip(paths[1:], defects):
+            if defect:
+                _break(path, defect)
+        _forced(monkeypatch, mode)
+        with pytest.raises(kind, match=f"^{re.escape(message.format(*paths))}$") as exc:
+            cli.main(_command(command, paths, fit, tmp_path / "out"))
+        assert type(exc.value) is kind
+
+    @pytest.mark.parametrize("command", _READERS)
+    def test_dead_worker_names_its_file(self, fitted, tmp_path, monkeypatch, command):
+        paths, fit = fitted
+        load = fileio.load_matrix
+
+        def killed_on_client_1(path, **kwargs):
+            if Path(path).name == "client_1.csv":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(path, **kwargs)
+
+        monkeypatch.setattr(fileio, "load_matrix", killed_on_client_1)
+        _forced(monkeypatch, "forked")
+        with pytest.raises(RuntimeError,
+                           match=f"^{re.escape(str(paths[1]))}: worker process exited"):
+            cli.main(_command(command, paths, fit, tmp_path / "out"))
+
+    @pytest.mark.parametrize("command", [c for c in _READERS if c != "eval"])
+    @pytest.mark.parametrize("mode", ["serial", "forked"])
+    def test_manifest_digests_are_the_inputs(self, fitted, tmp_path, monkeypatch, mode,
+                                             command):
+        paths, fit = fitted
+        _forced(monkeypatch, mode)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(_command(command, paths, fit, tmp_path / "out")) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["input_digests"] == {str(p): fileio.file_digest(p) for p in paths}
+
+    @pytest.mark.parametrize("command", ("synth",) + _READERS)
+    @pytest.mark.parametrize("mode", ["serial", "forked"])
+    def test_parent_holds_at_most_one_client_array(self, fitted, tmp_path, monkeypatch, mode,
+                                                   command):
+        # serially, each client's array is gone before the next one is made; forked,
+        # the parent makes none
+        paths, fit = fitted
+        parent, alive = os.getpid(), []
+
+        def one_at_a_time(make, of_client=lambda *args: True):
+            def made(*args, **kwargs):
+                M = make(*args, **kwargs)
+                if of_client(*args):
+                    assert mode == "serial" or os.getpid() != parent, "client array in the parent"
+                    assert all(ref() is None for ref in alive), "two client arrays at once"
+                    alive.append(weakref.ref(M))
+                return M
+            return made
+
+        monkeypatch.setattr(fileio, "load_matrix", one_at_a_time(
+            fileio.load_matrix, lambda path: Path(path).name.startswith("client_")))
+        monkeypatch.setattr(synth, "client_observations", one_at_a_time(synth.client_observations))
+        monkeypatch.setattr(fileio, "load_datasets", None)  # no command may call it
+        _forced(monkeypatch, mode)
+        argv = (["synth", "--d", "6", "--N", "3", "--r1", "1", "--r2", "1", "--n", "80",
+                 "--out", str(tmp_path / "out")] if command == "synth"
+                else _command(command, paths, fit, tmp_path / "out"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert len(alive) == (3 if mode == "serial" else 0)
+
+
 _finite = hnp.from_dtype(np.dtype(float), allow_nan=False, allow_infinity=False,
                          allow_subnormal=True)
 _values = _finite | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -405,3 +535,89 @@ def test_fuzz_loader_raises_package_errors_naming_the_file(raw, ext):
             assert str(path) in str(exc)
         else:
             assert datasets[1].shape[0] == 2 and np.isfinite(datasets[1]).all()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(M=hnp.arrays(float, st.tuples(st.integers(1, 140), st.integers(1, 3)), elements=_values),
+       header=st.none() | st.lists(st.text(alphabet="ax_0 ", max_size=3), max_size=3))
+@example(M=np.array([[-0.0, 5e-324, 1e308, -1e308, -2.2250738585072014e-308]]),
+         header=["a", "b", "c", "d", "e"])
+@example(M=np.array([[-0.0], [-5e-324], [1e308], [-1e308]]), header=None)
+@example(M=np.full((129, 1), -0.0), header=[""])
+def test_fuzz_csv_bytes_equal_savetxt(M, header):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours = fileio.save_matrix(Path(tmp) / "ours.csv", M, header).read_bytes()
+        np.savetxt(Path(tmp) / "ref.csv", M, fmt="%.17g", delimiter=",",
+                   header=",".join(header) if header else "", comments="")
+        assert ours == (Path(tmp) / "ref.csv").read_bytes()
+
+
+def _pipeline_outputs(out, fmt, header, center):
+    """Every file that ``synth``, ``fit``, the three baselines and ``eval`` write, as
+    bytes by path under ``out``; manifests without their time fields and ``out``."""
+    data, ranks = out / "data", ["--r1", "1", "--r2", "1"]
+    reading = ["--header"] * header + ["--center"] * center
+    argv = [["synth", "--d", "6", "--N", "3", *ranks, "--n", "80", "--noise-std", "0.2",
+             "--seed", "5", "--format", fmt, "--out", data, *["--header"] * header],
+            ["fit", data, *ranks, *reading, "--rounds", "20", "--format", fmt,
+             "--truth", data, "--out", out / "fit"],
+            *(["baseline", data, *ranks, *reading, "--method", m, "--format", fmt,
+               "--out", out / m] for m in ("distpca", "indiv", "cpca")),
+            ["eval", data, *reading, "--components", out / "fit", "--truth", data,
+             "--out", out / "eval.json"]]
+    for args in argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([str(a) for a in args]) == 0
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            content = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(content)
+                del manifest["timestamp"], manifest["wall_time_s"]
+                content = json.dumps(manifest, sort_keys=True).replace(str(out), "").encode()
+            files[str(path.relative_to(out))] = content
+    return files
+
+
+def _modes_differ(root):
+    """``(files compared, files that differ)`` between the serial loop and forked workers,
+    over both formats, with and without ``--header`` and ``--center``."""
+    saved = fileio._FORK_MIN_BYTES, fileio._usable_cpus
+    compared, differ = 0, []
+    try:
+        for fmt, header, center in itertools.product(("csv", "bin"), (False, True),
+                                                     (False, True)):
+            outputs = []
+            for mode, min_bytes, cpus in (("serial", 1 << 62, 1), ("forked", 0, 3)):
+                fileio._FORK_MIN_BYTES, fileio._usable_cpus = min_bytes, lambda n=cpus: n
+                outputs.append(_pipeline_outputs(root / f"{fmt}-{header}-{center}-{mode}",
+                                                 fmt, header, center))
+            serial, forked = outputs
+            compared += len(serial)
+            differ += [f"{fmt}-{header}-{center}/{name}" for name in sorted(serial | forked)
+                       if serial.get(name) != forked.get(name)]
+    finally:
+        fileio._FORK_MIN_BYTES, fileio._usable_cpus = saved
+    return compared, differ
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("blas", ["pinned", "unpinned"])
+def test_every_command_writes_the_same_bytes_serial_and_forked(tmp_path, blas):
+    # BLAS threads are fixed when numpy loads, so each setting gets its own interpreter
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    if blas == "pinned":
+        env.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(fileio.__file__).parents[1]), str(here)])
+    code = ("import json, pathlib, test_fileio; "
+            f"print(json.dumps(test_fileio._modes_differ(pathlib.Path({str(tmp_path)!r}))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    compared, differ = json.loads(done.stdout.splitlines()[-1])
+    assert compared == 8 * 26 and differ == []  # 26 files per pipeline

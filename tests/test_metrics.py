@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,10 +64,29 @@ class TestSubspaceError:
             local.append(float(np.sum(diff * diff)))
             assert local[k] == stiefel.subspace_distance(A[k], B[k])
         expected = stiefel.subspace_distance(U, U_true) + float(np.mean(local))
-        projectors = metrics.truth_projectors((U_true, B), 4, d)
         for groups in ([np.arange(4)], [np.array([0, 2]), np.array([1, 3])]):
-            stacked = metrics.stacked_subspace_error(U, [A[g] for g in groups], groups, projectors)
-            assert stacked == expected
+            projectors = metrics.truth_projectors((U_true, B), groups, d)
+            for _ in range(2):  # the second call overwrites the first one's scratch
+                stacked = metrics.stacked_subspace_error(U, [A[g] for g in groups], groups,
+                                                         projectors)
+                assert stacked == expected
+
+    def test_stacked_allocates_no_projector_stack(self):
+        # each round's error works in the scratch of truth_projectors; fresh
+        # (N, d, d) temporaries cost page faults whenever malloc maps them
+        rng = _rng(3)
+        d, groups = 100, [np.arange(8)]
+        U, V = _feasible_family(d, 2, 3, 8, rng)
+        projectors = metrics.truth_projectors(_feasible_family(d, 2, 3, 8, rng), groups, d)
+        stacked = [np.stack(V)]
+        metrics.stacked_subspace_error(U, stacked, groups, projectors)
+        tracemalloc.start()
+        try:
+            metrics.stacked_subspace_error(U, stacked, groups, projectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * d * 8 / 2  # the shared frame's (d, d) temporaries only
 
     def test_bad_state_frame_is_named(self):
         rng = _rng(4)

@@ -153,6 +153,15 @@ class TestGenerateObservations:
         b = synth.generate_observations(truth, spec)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
+    def test_generate_is_the_list_of_client_draws(self):
+        spec = _spec(noise_std=0.3)
+        truth = synth.generate_components(spec)
+        for split in (0, 1):
+            every = synth.generate_observations(truth, spec, test_split=split)
+            assert len(every) == spec.N
+            for i, Y in enumerate(every):
+                assert synth.client_observations(truth, spec, i, split).tobytes() == Y.tobytes()
+
     def test_client_count_extension_preserves_prefix(self):
         spec3 = _spec(noise_std=0.2)
         spec4 = _spec(N=4, noise_std=0.2)
