@@ -23,21 +23,6 @@ def _scenario(fn):
     return fn
 
 
-def _row(scenario, method, metric, values, **params):
-    values = np.asarray(values, dtype=float)
-    out = {
-        "scenario": scenario,
-        "method": method,
-        "metric": metric,
-        "mean": float(values.mean()),
-        "std": float(values.std(ddof=1)) if values.size > 1 else 0.0,
-        "median": float(np.median(values)),
-        "repeats": int(values.size),
-    }
-    out.update(params)
-    return out
-
-
 def _rich_sparse_counts(n, n_clients):
     half = n_clients // 2
     return [n] * half + [max(n // 10, 1)] * (n_clients - half)
@@ -63,11 +48,12 @@ def _drive(scenario, points, repeats, seed0, measure, **kwargs):
 
     ``points`` holds ``(columns, fields)`` pairs: a point's leading row
     columns and its ``GenerativeSpec`` fields other than the seed. For each
-    seed the driver builds the planted instance and its client covariances
-    and calls ``measure(spec, truth, covs, **kwargs)``, which returns named
+    seed the driver builds the planted instance and its client covariances,
+    drawing and reducing one client at a time, and calls
+    ``measure(spec, truth, covs, **kwargs)``, which returns named
     values ``{(method, metric[, group]): value}``. Each name becomes one row
-    per point, in the order the measure returns it, with the point's
-    columns followed by its d, N, r1 and r2.
+    per point, in the order the measure returns it: the values' mean, std,
+    median and count, then the point's columns and its d, N, r1 and r2.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -77,13 +63,19 @@ def _drive(scenario, points, repeats, seed0, measure, **kwargs):
         for k in range(repeats):
             spec = synth.GenerativeSpec(**fields, seed=seed0 + k)
             truth = synth.generate_components(spec)
-            covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
+            covs = [model.covariance(synth.client_observations(truth, spec, i))
+                    for i in range(spec.N)]
             for name, value in measure(spec, truth, covs, **kwargs).items():
                 named.setdefault(name, []).append(value)
         columns = {**columns, **{key: fields[key] for key in ("d", "N", "r1", "r2")}}
         for (method, metric, *group), values in named.items():
-            group = {"group": group[0]} if group else {}
-            rows.append(_row(scenario, method, metric, values, **group, **columns))
+            values = np.asarray(values, dtype=float)
+            rows.append({
+                "scenario": scenario, "method": method, "metric": metric,
+                "mean": float(values.mean()),
+                "std": float(values.std(ddof=1)) if values.size > 1 else 0.0,
+                "median": float(np.median(values)), "repeats": int(values.size),
+                **({"group": group[0]} if group else {}), **columns})
     return rows
 
 
@@ -183,21 +175,24 @@ def theta_sweep(repeats=10, seed0=0, thetas=(0.05, 0.1, 0.2, 0.3), rounds=150):
 
 
 def _held_out_errors(spec, truth, covs, rounds, n_test):
-    test = synth.generate_observations(
-        truth, dataclasses.replace(spec, n_per_client=n_test), test_split=1)
     state, _ = _solve(spec, covs, rounds, record_trace=False)
     d_state = _distpca(spec, covs)
+    t_state = model.ComponentState(truth.U_true, truth.V_true)
     indiv = baselines.indiv_pca(covs, spec.r1 + spec.r2)
     pooled = baselines.central_pca(covs, spec.n_per_client, spec.r1 + spec.r2)
-    per_client = {
-        "perpca": [model.reconstruction_error(Y, state.U, V) for Y, V in zip(test, state.V)],
-        "indivpca": [model.reconstruction_error(Y, F) for Y, F in zip(test, indiv)],
-        "cpca": [model.reconstruction_error(Y, pooled) for Y in test],
-        "distpca": [model.reconstruction_error(Y, d_state.U, V)
-                    for Y, V in zip(test, d_state.V)],
-        "truth": [model.reconstruction_error(Y, truth.U_true, V)
-                  for Y, V in zip(test, truth.V_true)],
-    }
+    # _reconstruction_error trusts its frames: run_perpca and distpca return validated
+    # states, and the other frame sets are checked here, so each is checked once
+    for checked in (t_state, model.ComponentState(pooled), *map(model.ComponentState, indiv)):
+        checked.validate()
+    frames = {"perpca": [[state.U, V] for V in state.V], "indivpca": [[F] for F in indiv],
+              "cpca": [[pooled]] * spec.N, "distpca": [[d_state.U, V] for V in d_state.V],
+              "truth": [[t_state.U, V] for V in t_state.V]}
+    test_spec = dataclasses.replace(spec, n_per_client=n_test)
+    per_client = {method: [] for method in frames}
+    for i in range(spec.N):  # one held-out client in memory at a time
+        Y = synth.client_observations(truth, test_spec, i, test_split=1)
+        for method, frame_sets in frames.items():
+            per_client[method].append(model._reconstruction_error(Y, frame_sets[i]))
     half = spec.N // 2
     return {(method, "test_reconstruction_error", group): float(np.mean(errs[clients]))
             for group, clients in (("rich", slice(half)), ("sparse", slice(half, None)))

@@ -14,13 +14,14 @@ import numpy as np
 from . import metrics, stiefel
 from .rng import substream
 
+ARROWHEAD_MAX_BLOCK = 12  # largest block size m drawn by the arrowhead suite
+ARROWHEAD_MAX_CLIENTS = 6  # largest client count N drawn by the arrowhead suite
+
 
 @dataclass
 class SuiteReport:
     name: str
     passed: bool
-    trials: int
-    failures: int
     detail: str
 
     def line(self):
@@ -60,12 +61,9 @@ def retraction_suite(trials=1000, seed=0):
             slope = np.polyfit(np.log(scales), np.log(resid), 1)[0]
             if not 1.9 <= slope <= 2.1:
                 slope_fail += 1
-    failures = span_fail + slope_fail
     return SuiteReport(
         name="retraction",
-        passed=failures == 0,
-        trials=trials,
-        failures=failures,
+        passed=span_fail + slope_fail == 0,
         detail=(
             f"{trials} trials, {span_fail} span violations "
             f"(worst projector distance {worst_dist:.2e}), {slope_fail} slope violations"
@@ -73,7 +71,7 @@ def retraction_suite(trials=1000, seed=0):
     )
 
 
-def arrowhead_suite(trials=1000, seed=0, max_block=12, max_clients=6):
+def arrowhead_suite(trials=1000, seed=0):
     """Eigenvalue floor of the conjugated block-arrowhead form.
 
     Random blocks are rescaled so the heterogeneity parameter sweeps
@@ -84,8 +82,8 @@ def arrowhead_suite(trials=1000, seed=0, max_block=12, max_clients=6):
     violations = 0
     worst_slack = np.inf
     for _ in range(trials):
-        m = int(rng.integers(1, max_block + 1))
-        N = int(rng.integers(1, max_clients + 1))
+        m = int(rng.integers(1, ARROWHEAD_MAX_BLOCK + 1))
+        N = int(rng.integers(1, ARROWHEAD_MAX_CLIENTS + 1))
         theta = rng.uniform(0.02, 0.98)
         B = rng.standard_normal((m, N * m))
         lam = np.linalg.eigvalsh(N * (B @ B.T))[-1]
@@ -100,12 +98,9 @@ def arrowhead_suite(trials=1000, seed=0, max_block=12, max_clients=6):
         b = np.array([[np.sqrt(1.0 - theta)]])
         lam_min, floor = metrics.arrowhead_min_eig(b, 1)
         tight_gap = max(tight_gap, abs(lam_min - floor))
-    passed = violations == 0 and tight_gap < 1e-9
     return SuiteReport(
         name="arrowhead",
-        passed=passed,
-        trials=trials,
-        failures=violations + (tight_gap >= 1e-9),
+        passed=violations == 0 and tight_gap < 1e-9,
         detail=(
             f"{trials} trials, {violations} floor violations "
             f"(worst slack {worst_slack:.2e}), scalar tight-case gap {tight_gap:.2e}"
@@ -145,8 +140,6 @@ def direct_sum_suite(trials=500, seed=0):
     return SuiteReport(
         name="direct-sum",
         passed=violations == 0,
-        trials=trials,
-        failures=violations,
         detail=f"{trials} trials, {violations} bracketing violations",
     )
 

@@ -320,9 +320,9 @@ def cmd_eval(args):
                 if Y.shape[0] == frames[i][0].shape[0] else None)
 
     replies = fileio.read_clients(data_paths, error, opt["header"], opt["center"])
-    for (_, shape, err), F in zip(replies, frames):
+    for path, (_, shape, err), F in zip(data_paths, replies, frames):
         if err is None:
-            raise DimensionError(f"data {shape} and frame {F[0].shape} disagree on d")
+            raise DimensionError(f"{path}: data {shape} and frame {F[0].shape} disagree on d")
     per_client = [err for _, _, err in replies]
     result = {
         "recon_error_per_client": per_client,

@@ -6,26 +6,19 @@ shared-frame candidates and retracts the average; local frames are then
 re-orthogonalized against the fresh shared frame (deflation + retraction),
 so the state handed to the next round always satisfies U^T V_i = 0.
 
-The client axis is an array dimension. ``run_perpca`` stacks the
-covariances once per solve as a C-contiguous ``(N, d, d)`` array and keeps
-the local frames as ``(n_g, d, r2)`` stacks, one per distinct local rank
-(a single stack when all ranks are equal). Each round is then a few
-stacked matmuls and one batched SVD or QR per retraction; the client
-updates, the retractions and the correction step act on every slice
-exactly as they act on a single client, so a run gives the same bits as a
-client-by-client loop. Candidates go back into client order before the
-server sums them as a running sum in ascending client order, so a run is
-bitwise reproducible given (config, inputs). A singular retraction is
-reported with the round and the lowest-numbered failing client.
-
-The per-round trace is computed from the same stacks: one
-:func:`model.diagnostics` pass forms ``S_i U`` and ``S_i V_i`` once per
-client and derives the objective, both KKT residuals and the mean
-reconstruction error from them, and the subspace error compares each rank
-group's stack with truth projectors formed once per solve, in scratch
-stacks allocated with them. The ``"auto"`` stepsize runs the clients'
-power iterations as one stack. Each of these reduces over clients in
-ascending client order and equals a client-by-client loop bitwise.
+The rounds are one generator, :func:`_rounds`, that yields the state after
+each round; :func:`run_perpca` checks, initialises, and reads the yielded
+state for the trace and the early stop, so a stopped run computes no
+further round. The client axis is an array dimension: covariances and local
+frames are stacks, one per distinct local rank (see :mod:`perpca.stacks`),
+and each round is a few stacked matmuls and one batched SVD or QR per
+retraction, acting on every slice exactly as on a single client. The server
+sums the candidates in ascending client order. So a run is bitwise
+reproducible given (config, inputs) and equals a client-by-client loop, and
+a singular retraction is reported with the round and the lowest-numbered
+failing client. The trace reads the same stacks: :func:`model.diagnostics`
+and :func:`metrics.stacked_subspace_error` reduce over clients in ascending
+client order, as does the ``"auto"`` stepsize's stacked power iteration.
 """
 
 from dataclasses import dataclass
@@ -135,12 +128,12 @@ def operator_norm(S):
 
 def auto_stepsize(covs, r, scale=0.5):
     """Constant stepsize scale / (G_max * sqrt(r)), G_max the largest operator norm."""
-    return _auto_stepsize(model.covariance_stack(covs), r, scale)
+    return _auto_stepsize([model.covariance_stack(covs)], r, scale)
 
 
 def _auto_stepsize(covs, r, scale):
-    # auto_stepsize over a checked stack
-    g_max = float(np.max(operator_norm(covs)))
+    # auto_stepsize over checked stacks, such as one per rank group
+    g_max = max(float(np.max(operator_norm(S))) for S in covs)
     if g_max <= 0.0:
         raise ValueError("all covariances are zero; no scale to derive a stepsize from")
     return scale / (g_max * np.sqrt(r))
@@ -289,6 +282,39 @@ def _each_group(groups, step, message):
     return out
 
 
+def _rounds(U, V, covs, groups, config):
+    """Yield ``(round, U, V)`` after each of ``config.rounds`` rounds from the state ``U, V``.
+
+    ``V`` and ``covs`` hold one stack per rank group of ``groups``, as in
+    :func:`model.diagnostics`. A singular step raises naming the round and the
+    lowest-numbered failing client, or the server aggregation.
+    """
+    if config.stepsize == "auto":
+        r_max = max(config.r1, *(Vg.shape[2] for Vg in V))
+        eta = _auto_stepsize(covs, r_max, config.stepsize_scale)
+    else:
+        eta = float(config.stepsize)
+    retraction = config.retraction
+    if config.choice == 1:
+        update, extra = client_update_choice1, (retraction,)
+    else:
+        update, extra = client_update_choice2, ()
+    for rnd in range(1, config.rounds + 1):
+        updates = _each_group(
+            groups, lambda g: update(U, V[g], covs[g], eta, *extra),
+            f"round {rnd}, client {{}}: {{}}")
+        try:
+            U_next = server_aggregate(
+                stacks.client_stack(groups, [cand for cand, _ in updates]), U, retraction)
+        except SingularityError as exc:
+            raise SingularityError(f"round {rnd}, server aggregation: {exc}") from exc
+        V = _each_group(
+            groups, lambda g: correction_step(updates[g][1], U_next, retraction),
+            f"round {rnd}, client {{}}: local frame collapsed onto the shared frame ({{}})")
+        U = U_next
+        yield rnd, U, V
+
+
 def run_perpca(covs, config, truth=None):
     """Run the federated solver on client covariances.
 
@@ -314,12 +340,10 @@ def run_perpca(covs, config, truth=None):
     covs = model.covariance_stack(covs)
     d = covs.shape[1]
     r2_list = model.local_ranks(config.r1, config.r2, len(covs), d)
-
     if config.init == "random":
         U, V = _init_random(d, config.r1, r2_list, config.seed)
     else:
         U, V = _init_distpca(covs, config.r1, r2_list, config.seed)
-
     if config.stop_subspace_tol is not None and truth is None:
         raise ValueError("early stopping on subspace error needs ground truth")
     if config.rounds == 0:
@@ -328,34 +352,9 @@ def run_perpca(covs, config, truth=None):
     projectors = None
     if truth is not None and (config.record_trace or config.stop_subspace_tol is not None):
         projectors = metrics.truth_projectors(truth, groups, d)
-
-    if config.stepsize == "auto":
-        eta = _auto_stepsize(covs, max([config.r1] + r2_list), config.stepsize_scale)
-    else:
-        eta = float(config.stepsize)
-
-    retraction = config.retraction
-    if config.choice == 1:
-        update, extra = client_update_choice1, (retraction,)
-    else:
-        update, extra = client_update_choice2, ()
     group_covs = [covs[clients] for clients in groups]
-    candidates = np.empty((len(covs), d, config.r1))
     trace = []
-    for rnd in range(1, config.rounds + 1):
-        updates = _each_group(
-            groups, lambda g: update(U, V[g], group_covs[g], eta, *extra),
-            f"round {rnd}, client {{}}: {{}}")
-        for clients, (cand, _) in zip(groups, updates):
-            candidates[clients] = cand
-        try:
-            U_next = server_aggregate(candidates, U, retraction)
-        except SingularityError as exc:
-            raise SingularityError(f"round {rnd}, server aggregation: {exc}") from exc
-        V = _each_group(
-            groups, lambda g: correction_step(updates[g][1], U_next, retraction),
-            f"round {rnd}, client {{}}: local frame collapsed onto the shared frame ({{}})")
-        U = U_next
+    for rnd, U, V in _rounds(U, V, group_covs, groups, config):
         sub_err = None
         if projectors is not None:
             sub_err = metrics.stacked_subspace_error(U, V, groups, projectors)

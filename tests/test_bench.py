@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from perpca import bench
+from perpca import bench, model
 
 
 def test_scenario_registry():
@@ -44,6 +44,17 @@ def test_knowledge_sharing_smoke():
     assert groups == {"rich", "sparse"}
     truth_rich = [r for r in rows if r["method"] == "truth" and r["group"] == "rich"]
     assert truth_rich[0]["mean"] > 0
+
+
+def test_held_out_errors_check_each_frame_set_once(monkeypatch):
+    # the checks of the solver's and distpca's returned states, then one each of the truth,
+    # the pooled frame and every indivpca frame, not one per client and method
+    calls = []
+    validate = model.ComponentState.validate
+    monkeypatch.setattr(model.ComponentState, "validate",
+                        lambda state: calls.append(state.n_clients) or validate(state))
+    bench.knowledge_sharing(repeats=1, n_clients=10, rounds=60, n_test=200)
+    assert calls == [10] * 3 + [0] * 11
 
 
 def test_format_csv_union_header():

@@ -311,7 +311,7 @@ class TestCheck:
         from perpca import checks
 
         def broken(seed=0):
-            return checks.SuiteReport("arrowhead", False, 1, 1, "injected")
+            return checks.SuiteReport("arrowhead", False, "injected")
 
         monkeypatch.setitem(checks.ALL_SUITES, "arrowhead", lambda seed=0: broken(seed))
         rc = run("check", "--suite", "arrowhead")

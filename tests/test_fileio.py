@@ -434,6 +434,19 @@ class TestStreamedCommands:
             cli.main(_command(command, paths, fit, tmp_path / "out"))
         assert type(exc.value) is kind
 
+    @pytest.mark.parametrize("mode", ["serial", "forked"])
+    def test_eval_names_the_file_whose_features_disagree_with_the_components(
+            self, fitted, tmp_path, monkeypatch, mode):
+        _, fit = fitted  # d=6
+        wide = tmp_path / "wide"
+        assert cli.main([str(a) for a in ["synth", "--d", "7", "--N", "3", "--r1", "1", "--r2",
+                                          "1", "--n", "80", "--out", wide]]) == 0
+        paths = fileio.resolve_data_paths([wide])
+        _forced(monkeypatch, mode)
+        message = f"{paths[0]}: data (7, 80) and frame (6, 1) disagree on d"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            cli.main(_command("eval", paths, fit, tmp_path / "out"))
+
     @pytest.mark.parametrize("command", _READERS)
     def test_dead_worker_names_its_file(self, fitted, tmp_path, monkeypatch, command):
         paths, fit = fitted

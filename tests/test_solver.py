@@ -342,6 +342,27 @@ class TestRunPerpca:
         assert len(trace) < 500
         assert trace[-1].subspace_error < 1e-8
 
+    @pytest.mark.parametrize("r2, group_sizes", [(2, [4]), ([2, 1, 2, 1], [2, 2])])
+    def test_early_stop_computes_no_further_round(self, r2, group_sizes, monkeypatch):
+        spec = synth.GenerativeSpec(d=10, N=4, r1=2, r2=2, n_per_client=60,
+                                    local_score_std=1.5, noise_std=0.3, seed=5)
+        truth = synth.generate_components(spec)
+        covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
+        V_true = [V[:, :r] for V, r in zip(truth.V_true, model.local_ranks(2, r2, 4, 10))]
+        _, full = solver.run_perpca(covs, solver.SolverConfig(r1=2, r2=r2, rounds=40, seed=5),
+                                    truth=(truth.U_true, V_true))
+        # half the rounds end below the median error, so the first of them comes before round 40
+        tol = float(np.median([row.subspace_error for row in full]))
+        stop = next(row.round for row in full if row.subspace_error < tol)
+        sizes = []
+        update = solver.client_update_choice1
+        monkeypatch.setattr(solver, "client_update_choice1",
+                            lambda U, V, *rest: sizes.append(len(V)) or update(U, V, *rest))
+        config = solver.SolverConfig(r1=2, r2=r2, rounds=40, seed=5, stop_subspace_tol=tol)
+        _, trace = solver.run_perpca(covs, config, truth=(truth.U_true, V_true))
+        assert trace == full[:stop] and stop < 40
+        assert sizes == group_sizes * stop  # one update per rank group and recorded round
+
     def test_singularity_reports_context(self):
         # a "covariance" of -I / eta sends the joint step [U, V] + eta S [U, V]
         # of the only client to zero, so its retraction collapses in round 1
@@ -385,21 +406,29 @@ def _reference_run(covs, config, truth=None):
         state = model.ComponentState(U_next, V_next)
         trace.append(solver.RoundTrace(rnd, *ref.diagnostics(state, covs),
                                        subspace_error=ref.subspace_error(state, truth)))
-    return state, trace
+        stop = config.stop_subspace_tol
+        if stop is not None and trace[-1].subspace_error < stop:
+            break
+    return state, trace if config.record_trace else []
 
 
 class TestStackedClients:
+    # a stop at 5.65 comes at round 9-11 from a random init and at round 1 from distpca;
+    # at 0.5 it comes at round 15 from distpca at r2=3
+    @pytest.mark.parametrize("stop, record_trace", [
+        (None, True), (None, False), (5.65, True), (0.5, True), (5.65, False)])
     @pytest.mark.parametrize("init", ["random", "distpca"])
     @pytest.mark.parametrize("r2", [3, [1, 3, 2, 3]])
     @pytest.mark.parametrize("retraction", ["polar", "qr"])
     @pytest.mark.parametrize("choice", [1, 2])
-    def test_matches_client_loop_bitwise(self, choice, retraction, r2, init):
+    def test_matches_client_loop_bitwise(self, choice, retraction, r2, init, stop, record_trace):
         spec = synth.GenerativeSpec(d=9, N=4, r1=2, r2=3, n_per_client=80,
                                     noise_std=0.3, seed=3)
         truth = synth.generate_components(spec)
         covs = [model.covariance(Y) for Y in synth.generate_observations(truth, spec)]
         config = solver.SolverConfig(r1=2, r2=r2, rounds=30, choice=choice,
-                                     retraction=retraction, init=init, seed=4)
+                                     retraction=retraction, init=init, seed=4,
+                                     stop_subspace_tol=stop, record_trace=record_trace)
         state, trace = solver.run_perpca(covs, config, truth=truth)
         ref_state, ref_trace = _reference_run(covs, config, truth)
         assert np.array_equal(state.U, ref_state.U)
