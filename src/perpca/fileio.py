@@ -12,8 +12,7 @@ file, optionally centres it and reduces it in the process that read it.
 Only the task's result reaches the caller. Per file, ``perpca fit`` and
 ``baseline`` receive the sha256 of the parsed bytes, the dataset's shape
 and its covariance; ``perpca eval`` receives the shape and the
-reconstruction error; :func:`load_datasets` (the identity reduction)
-receives the dataset itself; ``synth`` receives nothing. ``eval`` loads
+reconstruction error; ``synth`` receives nothing. ``eval`` loads
 and checks the components before it reads any data file, so when both
 are bad the component error is the one raised.
 
@@ -134,16 +133,16 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _worker_count(fmts, payload_bytes):
-    """Forked workers for one file each of ``fmts``; 0 means the serial loop."""
-    if (len(fmts) < 2 or any(f != "csv" for f in fmts)
+def _worker_count(paths, payload_bytes):
+    """Forked workers for one file each of ``paths``; 0 means the serial loop."""
+    if (len(paths) < 2 or any(_format_of(p) != "csv" for p in paths)
             or payload_bytes < _FORK_MIN_BYTES
             or "fork" not in multiprocessing.get_all_start_methods()
             # forking beside another thread can copy a lock that thread holds;
             # a daemonic process may not have children
             or threading.active_count() > 1 or multiprocessing.current_process().daemon):
         return 0
-    workers = min(len(fmts), _usable_cpus())
+    workers = min(len(paths), _usable_cpus())
     return workers if workers > 1 else 0
 
 
@@ -178,7 +177,7 @@ def _reply(conn, path):
 
 
 @contextlib.contextmanager
-def _each_file(task, paths, fmts, payload_bytes):
+def _each_file(task, paths, payload_bytes):
     """Yield the results of ``task(i)`` for every file, in file order.
 
     Runs the serial loop, or forks workers when :func:`_worker_count` says
@@ -187,7 +186,7 @@ def _each_file(task, paths, fmts, payload_bytes):
     in. On exit every worker is terminated and joined, whether the caller
     finished or raised.
     """
-    workers = _worker_count(fmts, payload_bytes)
+    workers = _worker_count(paths, payload_bytes)
     if not workers:
         yield (task(i) for i in range(len(paths)))
         return
@@ -229,16 +228,10 @@ def write_clients(out_dir, draw, shapes, fmt="csv", header=False):
         save_matrix(paths[i], Y.T, cols)
 
     payload = 8 * sum(d * n for d, n in shapes)
-    with _each_file(save, paths, [fmt] * len(paths), payload) as saved:
+    with _each_file(save, paths, payload) as saved:
         for _ in saved:
             pass
     return paths
-
-
-def save_datasets(out_dir, datasets, fmt="csv", header=False):
-    """Write one observations-as-rows file per client; returns the paths."""
-    return write_clients(out_dir, datasets.__getitem__, [np.shape(Y) for Y in datasets],
-                         fmt, header)
 
 
 _CLIENT_FILE = re.compile(r"client_(\d+)\.(csv|mat64)$")
@@ -288,19 +281,13 @@ def read_clients(paths, reduce, header=False, center=False, digest=False):
         return sha, Y.shape, reduce(i, Y)
 
     replies = []
-    fmts = [_format_of(p) for p in paths]
-    with _each_file(task, paths, fmts, _file_bytes(paths)) as results:
+    with _each_file(task, paths, _file_bytes(paths)) as results:
         for path, reply in zip(paths, results):
             d = reply[1][0]
             if replies and d != replies[0][1][0]:
                 raise DimensionError(f"{path}: {d} features, earlier files have {replies[0][1][0]}")
             replies.append(reply)
     return replies
-
-
-def load_datasets(paths, header=False, center=False):
-    """Load client data files into (d, n_i) arrays, optionally mean-centering."""
-    return [Y for _, _, Y in read_clients(paths, lambda i, Y: Y, header, center)]
 
 
 def save_components(out_dir, U=None, V=None, fmt="csv", prefix=""):

@@ -28,11 +28,10 @@ def truth_projectors(truth, groups, d):
     if len(V) != n_clients:
         raise DimensionError(f"{len(V)} true local frames for {n_clients} clients")
     stacks.require_shape(U, d, "true shared frame")
-    P_V = np.empty((n_clients, d, d))
-    for clients, W in zip(*stacks.by_rank(V, d, "true local frame")):
-        P_V[clients] = W @ np.swapaxes(W, 1, 2)
+    true_groups, W = stacks.by_rank(V, d, "true local frame")
+    P_V = stacks.client_stack(true_groups, [Wg @ np.swapaxes(Wg, 1, 2) for Wg in W])
     U = np.asarray(U, dtype=float)
-    grouped = [P_V[clients] for clients in groups]
+    grouped = stacks.by_group(groups, P_V)
     return U @ U.T, grouped, [np.empty_like(P) for P in grouped]
 
 
@@ -227,6 +226,17 @@ def arrowhead_min_eig(B, N):
     return lam_min, arrowhead_min_eig_bound(theta)
 
 
+def heterogeneity(projectors):
+    """The one rule for theta: max(0, 1 - lambda_max) of the mean of the local subspaces'
+    ``(d, d)`` projectors, summed in client order. Zero when all the subspaces coincide;
+    1 - 1/N for N mutually orthogonal ones."""
+    if len(projectors) == 0:
+        raise ValueError("need at least one local subspace")
+    mean = sum(np.asarray(P, dtype=float) for P in projectors) / len(projectors)
+    lam_max = float(np.linalg.eigvalsh(mean)[-1])
+    return max(0.0, 1.0 - lam_max)
+
+
 def _require_projector_pair(P_u, P_v, who):
     if P_u.shape != P_v.shape or P_u.shape[0] != P_u.shape[1]:
         raise DimensionError(f"{who}: projectors must be square and equal-shaped")
@@ -253,7 +263,6 @@ def direct_sum_closeness_bounds(P_u, P_v_list, P_u_star, P_v_star_list):
     P_u = np.asarray(P_u, dtype=float)
     P_u_star = np.asarray(P_u_star, dtype=float)
     r1 = round(float(np.trace(P_u)))
-    avg_star = np.zeros_like(P_u_star)
     lhs = 0.0
     upper = float(n) * (r1 - float(np.sum(P_u_star * P_u)))
     for i in range(n):
@@ -265,7 +274,4 @@ def direct_sum_closeness_bounds(P_u, P_v_list, P_u_star, P_v_star_list):
         joint = float(np.sum((P_u + P_v) * (P_u_star + P_v_star)))
         lhs += r1 + r2 - joint
         upper += r2 - float(np.sum(P_v_star * P_v))
-        avg_star += P_v_star
-    avg_star /= n
-    theta = max(0.0, 1.0 - float(np.linalg.eigvalsh(avg_star)[-1]))
-    return lhs, upper, 0.5 * theta * upper
+    return lhs, upper, 0.5 * heterogeneity(P_v_star_list) * upper

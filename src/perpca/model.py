@@ -185,8 +185,7 @@ def _diagnostics_of(state, covs):
                              f"{state.n_clients} clients at d={state.d}")
     stacks.require_shape(state.U, state.d, "shared frame")
     groups, V = stacks.by_rank(state.V, state.d)
-    return diagnostics(np.asarray(state.U, dtype=float), V, [covs[clients] for clients in groups],
-                       groups)
+    return diagnostics(np.asarray(state.U, dtype=float), V, stacks.by_group(groups, covs), groups)
 
 
 def objective(state, covs):

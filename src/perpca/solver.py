@@ -352,7 +352,7 @@ def run_perpca(covs, config, truth=None):
     projectors = None
     if truth is not None and (config.record_trace or config.stop_subspace_tol is not None):
         projectors = metrics.truth_projectors(truth, groups, d)
-    group_covs = [covs[clients] for clients in groups]
+    group_covs = stacks.by_group(groups, covs)
     trace = []
     for rnd, U, V in _rounds(U, V, group_covs, groups, config):
         sub_err = None

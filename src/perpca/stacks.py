@@ -3,8 +3,9 @@
 Local frames of equal rank stack into one ``(n_g, d, r2)`` array and their
 covariances into one ``(n_g, d, d)`` array, so per-client work becomes one
 stacked operation per group. A group is the ascending array of the client
-indices it holds; groups are listed in order of first appearance. The
-other helpers put per-group results back into client order.
+indices it holds; groups are listed in order of first appearance.
+:func:`by_group` splits a client-ordered stack into per-group stacks, and
+the other helpers put per-group results back into client order.
 """
 
 import numpy as np
@@ -32,6 +33,14 @@ def by_rank(frames, d, name="local frame"):
         require_shape(frames[clients[0]], d, f"{name} {clients[0]}")
     groups = [np.array(clients) for clients in groups.values()]
     return groups, [np.array([frames[i] for i in clients], dtype=float) for clients in groups]
+
+
+def by_group(groups, stack):
+    """One stack per group from a client-ordered ``stack``, the inverse of
+    :func:`client_stack`: ``[stack]`` itself, not a copy, when there is one group."""
+    if len(groups) == 1:
+        return [stack]
+    return [stack[clients] for clients in groups]
 
 
 def client_order(groups, stacks):

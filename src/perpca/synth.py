@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from . import model, stiefel
+from . import metrics, model, stiefel
 from .rng import substream
 
 SCORE_DISTS = ("gaussian", "rademacher")
@@ -81,20 +81,8 @@ class PlantedTruth:
 
 
 def theta_of(V_list):
-    """Heterogeneity constant 1 - lambda_max of the averaged local projectors.
-
-    Zero when all local subspaces coincide; 1 - 1/N for mutually orthogonal
-    ones.
-    """
-    if len(V_list) == 0:
-        raise ValueError("need at least one local frame")
-    d = V_list[0].shape[0]
-    avg = np.zeros((d, d))
-    for Vi in V_list:
-        avg += Vi @ Vi.T
-    avg /= len(V_list)
-    lam_max = float(np.linalg.eigvalsh(avg)[-1])
-    return max(0.0, 1.0 - lam_max)
+    """:func:`metrics.heterogeneity` of the local frames' projectors."""
+    return metrics.heterogeneity([Vi @ Vi.T for Vi in V_list])
 
 
 def _raw_eigengap(spec):

@@ -100,10 +100,10 @@ class TestMalformedFiles:
 class TestDatasets:
     def test_save_load_transposes(self, tmp_path):
         Ys = [_rng().standard_normal((4, 9)), _rng().standard_normal((4, 5))]
-        fileio.save_datasets(tmp_path, Ys)
+        _write(tmp_path, Ys)
         paths = fileio.resolve_data_paths([tmp_path])
         assert [p.name for p in paths] == ["client_0.csv", "client_1.csv"]
-        back = fileio.load_datasets(paths)
+        back = [Y for _, _, Y in fileio.read_clients(paths, _identity)]
         assert all(np.array_equal(a, b) for a, b in zip(back, Ys))
 
     def test_client_order_is_numeric(self, tmp_path):
@@ -118,13 +118,14 @@ class TestDatasets:
         fileio.save_matrix(tmp_path / "client_0.csv", np.zeros((3, 4)))
         fileio.save_matrix(tmp_path / "client_1.csv", np.zeros((3, 5)))
         with pytest.raises(DimensionError):
-            fileio.load_datasets(fileio.resolve_data_paths([tmp_path]))
+            fileio.read_clients(fileio.resolve_data_paths([tmp_path]), _identity)
 
     def test_centering(self, tmp_path):
         Y = _rng().standard_normal((3, 50)) + 5.0
-        fileio.save_datasets(tmp_path, [Y])
-        back = fileio.load_datasets(fileio.resolve_data_paths([tmp_path]), center=True)
-        assert np.max(np.abs(back[0].mean(axis=1))) < 1e-12
+        _write(tmp_path, [Y])
+        (_, _, back), = fileio.read_clients(fileio.resolve_data_paths([tmp_path]), _identity,
+                                            center=True)
+        assert np.max(np.abs(back.mean(axis=1))) < 1e-12
 
 
 class TestComponents:
@@ -212,7 +213,7 @@ def parallel(monkeypatch):
     """Forked reads and writes at any size, with three workers even on one CPU."""
     monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", 0)
     monkeypatch.setattr(fileio, "_usable_cpus", lambda: 3)
-    assert fileio._worker_count(["csv"] * 5, 0) == 3
+    assert fileio._worker_count(["c.csv"] * 5, 0) == 3
 
 
 def _hung(signum, frame):
@@ -223,6 +224,14 @@ def _clients(n=5, d=4):
     rng = _rng()
     return [rng.standard_normal((d, 3 + 7 * i)) * np.logspace(-9, 9, d)[:, None]
             for i in range(n)]
+
+
+def _write(out, Ys, **kwargs):
+    return fileio.write_clients(out, Ys.__getitem__, [Y.shape for Y in Ys], **kwargs)
+
+
+def _identity(i, Y):
+    return Y
 
 
 def _both(tmp_path, monkeypatch, fn):
@@ -240,30 +249,46 @@ class TestParallelFiles:
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
         big = fileio._FORK_MIN_BYTES
-        assert fileio._worker_count(["csv"] * 20, big) == 2
-        assert fileio._worker_count(["csv"] * 20, big - 1) == 0
-        assert fileio._worker_count(["csv"], big) == 0
-        assert fileio._worker_count(["bin"] * 20, big) == 0
-        assert fileio._worker_count(["csv", "bin"], big) == 0
+        assert fileio._worker_count(["c.csv"] * 20, big) == 2
+        assert fileio._worker_count(["c.csv"] * 20, big - 1) == 0
+        assert fileio._worker_count(["c.csv"], big) == 0
+        assert fileio._worker_count(["c.mat64"] * 20, big) == 0
+        assert fileio._worker_count(["c.csv", "c.mat64"], big) == 0
         monkeypatch.setattr(fileio, "_usable_cpus", lambda: 1)
-        assert fileio._worker_count(["csv"] * 20, big) == 0
+        assert fileio._worker_count(["c.csv"] * 20, big) == 0
         monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert fileio._worker_count(["csv"] * 20, big) == 0
+            assert fileio._worker_count(["c.csv"] * 20, big) == 0
         finally:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
+
+    def test_mat64_files_above_the_fork_threshold_stay_serial(self, tmp_path, monkeypatch):
+        # the format comes from each path: three usable CPUs and a large payload
+        # still give the serial loop for .mat64 files
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 3)
+
+        def no_fork(process):
+            raise AssertionError(f"started {process.name} for .mat64 files")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+        Ys = [np.full((8, 11000), float(i)) + np.arange(11000) for i in range(3)]
+        assert 8 * sum(Y.size for Y in Ys) > fileio._FORK_MIN_BYTES
+        paths = _write(tmp_path, Ys, fmt="bin")
+        assert [p.name for p in paths] == [f"client_{i}.mat64" for i in range(3)]
+        back = [Y for _, _, Y in fileio.read_clients(paths, _identity)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back, Ys, strict=True))
 
     @pytest.mark.parametrize("header", [False, True])
     def test_writes_match_serial_bytes(self, tmp_path, monkeypatch, header):
         Ys = _clients()
 
         def write(out):
-            paths = fileio.save_datasets(out, Ys, header=header)
+            paths = _write(out, Ys, header=header)
             return [(p.name, p.read_bytes()) for p in paths]
 
         serial_files, parallel_files = _both(tmp_path, monkeypatch, write)
@@ -272,11 +297,12 @@ class TestParallelFiles:
 
     @pytest.mark.parametrize("center", [False, True])
     def test_reads_match_serial_bits(self, tmp_path, monkeypatch, center):
-        fileio.save_datasets(tmp_path / "data", _clients(), header=True)
+        _write(tmp_path / "data", _clients(), header=True)
         paths = fileio.resolve_data_paths([tmp_path / "data"])
 
         def read(_):
-            return fileio.load_datasets(paths, header=True, center=center)
+            return [Y for _, _, Y in fileio.read_clients(paths, _identity, header=True,
+                                                         center=center)]
 
         serial_ys, parallel_ys = _both(tmp_path, monkeypatch, read)
         for a, b in zip(serial_ys, parallel_ys, strict=True):
@@ -284,19 +310,19 @@ class TestParallelFiles:
             assert a.tobytes() == b.tobytes()
 
     def test_save_returns_paths_in_client_order(self, tmp_path, parallel):
-        paths = fileio.save_datasets(tmp_path, _clients())
+        paths = _write(tmp_path, _clients())
         assert [p.name for p in paths] == [f"client_{i}.csv" for i in range(5)]
 
     def _errors(self, tmp_path, monkeypatch, paths):
         def read(_):
             with pytest.raises(ValueError) as info:
-                fileio.load_datasets(paths)
+                fileio.read_clients(paths, _identity)
             return info.value
 
         return _both(tmp_path, monkeypatch, read)
 
     def test_non_finite_cell_raises_serial_error(self, tmp_path, monkeypatch):
-        paths = fileio.save_datasets(tmp_path, _clients())
+        paths = _write(tmp_path, _clients())
         lines = paths[3].read_text().splitlines()
         lines[2] = "nan" + lines[2][lines[2].index(","):]
         paths[3].write_text("\n".join(lines) + "\n")
@@ -309,7 +335,7 @@ class TestParallelFiles:
         # files larger than a pipe buffer leave the workers of the unread files
         # blocked in a send, which only terminating them ends
         Ys = [np.full((3, 5000), float(i)) for i in range(5)]
-        paths = fileio.save_datasets(tmp_path, Ys)
+        paths = _write(tmp_path, Ys)
         fileio.save_matrix(paths[1], np.ones((6, 4)))
         paths[3].write_text("1.0,oops,2.0\n")
         serial_exc, parallel_exc = self._errors(tmp_path, monkeypatch, paths)
@@ -318,7 +344,7 @@ class TestParallelFiles:
         assert str(serial_exc).startswith(f"{paths[1]}: 4 features")
 
     def test_killed_read_worker_raises(self, tmp_path, monkeypatch, parallel):
-        paths = fileio.save_datasets(tmp_path, _clients())
+        paths = _write(tmp_path, _clients())
         load = fileio.load_matrix
 
         def killed_on_client_2(path, **kwargs):
@@ -328,7 +354,7 @@ class TestParallelFiles:
 
         monkeypatch.setattr(fileio, "load_matrix", killed_on_client_2)
         with pytest.raises(RuntimeError, match=r"client_2\.csv: worker process exited"):
-            fileio.load_datasets(paths)
+            fileio.read_clients(paths, _identity)
 
     def test_killed_write_worker_raises(self, tmp_path, monkeypatch, parallel):
         save = fileio.save_matrix
@@ -340,7 +366,7 @@ class TestParallelFiles:
 
         monkeypatch.setattr(fileio, "save_matrix", killed_on_client_4)
         with pytest.raises(RuntimeError, match=r"client_4\.csv: worker process exited"):
-            fileio.save_datasets(tmp_path, _clients())
+            _write(tmp_path, _clients())
 
     def test_write_error_names_first_failing_file(self, tmp_path, parallel):
         out = tmp_path / "data"
@@ -348,7 +374,7 @@ class TestParallelFiles:
         (out / "client_2.csv").mkdir()  # a directory cannot be opened for writing
         (out / "client_4.csv").mkdir()
         with pytest.raises(IsADirectoryError, match=r"client_2\.csv"):
-            fileio.save_datasets(out, _clients())
+            _write(out, _clients())
 
     def test_cli_pipeline_matches_serial(self, tmp_path, monkeypatch):
         def pipeline(out):
@@ -496,7 +522,6 @@ class TestStreamedCommands:
         monkeypatch.setattr(fileio, "load_matrix", one_at_a_time(
             fileio.load_matrix, lambda path: Path(path).name.startswith("client_")))
         monkeypatch.setattr(synth, "client_observations", one_at_a_time(synth.client_observations))
-        monkeypatch.setattr(fileio, "load_datasets", None)  # no command may call it
         _forced(monkeypatch, mode)
         argv = (["synth", "--d", "6", "--N", "3", "--r1", "1", "--r2", "1", "--n", "80",
                  "--out", str(tmp_path / "out")] if command == "synth"
@@ -543,11 +568,11 @@ def test_fuzz_loader_raises_package_errors_naming_the_file(raw, ext):
         path = Path(tmp) / f"client_1.{ext}"
         path.write_bytes(raw)
         try:
-            datasets = fileio.load_datasets([good, path])
+            Y = fileio.read_clients([good, path], _identity)[1][2]
         except (ValueError, DimensionError) as exc:
             assert str(path) in str(exc)
         else:
-            assert datasets[1].shape[0] == 2 and np.isfinite(datasets[1]).all()
+            assert Y.shape[0] == 2 and np.isfinite(Y).all()
 
 
 @settings(max_examples=100, deadline=None,

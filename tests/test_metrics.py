@@ -332,6 +332,16 @@ class TestDirectSumBounds:
         assert lower == pytest.approx(0.0, abs=1e-10)
         assert lhs > 1e-3
 
+    def test_theta_is_the_heterogeneity_of_the_reference_frames_bitwise(self):
+        rng = _rng(16)
+        P_u, P_v = self._family(7, 2, 2, 4, rng)
+        W_u, W_v = _feasible_family(7, 2, 2, 4, rng)
+        _, upper, lower = metrics.direct_sum_closeness_bounds(
+            P_u, P_v, stiefel.projector(W_u), [stiefel.projector(W) for W in W_v])
+        theta = synth.theta_of(W_v)
+        assert upper > 0 and theta > 0
+        assert lower == 0.5 * theta * upper
+
     def test_cross_orthogonality_required(self):
         rng = _rng(15)
         P_u, P_v = self._family(5, 1, 1, 2, rng)

@@ -252,8 +252,7 @@ class TestFusedDiagnostics:
         covs = [_random_cov(d, rng) * 10.0 ** (i % 5 - 2) for i in range(len(r2))]
         expected = ref.diagnostics(state, covs)
         groups, V_stacks = stacks.by_rank(V, d)
-        stack = np.stack(covs)
-        fused = model.diagnostics(U, V_stacks, [stack[clients] for clients in groups], groups)
+        fused = model.diagnostics(U, V_stacks, stacks.by_group(groups, np.stack(covs)), groups)
         assert fused == expected
         assert model.objective(state, covs) == expected.objective
         assert model.kkt_residual(state, covs) == (expected.kkt_global, expected.kkt_local)
@@ -387,7 +386,7 @@ _COVS = [np.diag([5.0, 4.0, 3.0, 2.0, 1.0]) + 0.1 * i * np.eye(5) for i in range
 def _baseline_cli(method):
     def run(r1, r2, tmp_path):
         data = tmp_path / "data"
-        fileio.save_datasets(data, [_rng(i).standard_normal((5, 20)) for i in range(3)])
+        fileio.write_clients(data, lambda i: _rng(i).standard_normal((5, 20)), [(5, 20)] * 3)
         cli.main(["baseline", str(data), "--method", method, "--r1", str(r1),
                   "--r2", ",".join(map(str, r2)), "--out", str(tmp_path / "out")])
     return run
@@ -458,3 +457,48 @@ def test_by_rank_checks_each_group_once_and_names_the_lowest_bad_frame(monkeypat
     with pytest.raises(DimensionError, match=r"^true local frame 1 has shape \(4, 2\), "
                                              r"expected \(5, r\)$"):
         stacks.by_rank(frames, 5, "true local frame")
+
+
+def test_by_group_of_one_group_is_the_stack_itself():
+    stack = _rng(23).standard_normal((6, 4, 4))
+    (part,) = stacks.by_group([np.arange(6)], stack)
+    assert part is stack and np.shares_memory(part, stack)
+
+
+def test_by_group_equals_fancy_indexing_in_group_order():
+    rng = _rng(24)
+    frames = [stiefel.random_frame(6, 1 + (5 * i) % 3, rng) for i in range(12)]
+    groups, _ = stacks.by_rank(frames, 6)
+    stack = rng.standard_normal((12, 6, 6))
+    parts = stacks.by_group(groups, stack)
+    assert [len(clients) for clients in groups] == [4, 4, 4]
+    assert len(parts) == 3
+    for clients, part in zip(groups, parts, strict=True):
+        assert part.tobytes() == stack[clients].tobytes()
+    assert stacks.client_stack(groups, parts).tobytes() == stack.tobytes()
+
+
+def test_equal_rank_solve_rounds_over_the_checked_covariance_stack(monkeypatch):
+    checked, received = [], []
+    covariance_stack, rounds = model.covariance_stack, solver._rounds
+    monkeypatch.setattr(model, "covariance_stack",
+                        lambda covs: checked.append(covariance_stack(covs)) or checked[-1])
+    monkeypatch.setattr(solver, "_rounds", lambda U, V, covs, groups, config:
+                        received.append(covs) or rounds(U, V, covs, groups, config))
+    solver.run_perpca(_COVS, solver.SolverConfig(r1=1, r2=2, rounds=3))
+    (group_covs,) = received
+    assert len(checked) == 1 and len(group_covs) == 1
+    assert np.shares_memory(group_covs[0], checked[0])
+
+
+def test_equal_rank_truth_projectors_are_one_client_ordered_stack(monkeypatch):
+    made = []
+    client_stack = stacks.client_stack
+    monkeypatch.setattr(stacks, "client_stack",
+                        lambda groups, parts: made.append(client_stack(groups, parts)) or made[-1])
+    truth = synth.generate_components(synth.GenerativeSpec(d=6, N=4, r1=1, r2=2,
+                                                           n_per_client=5))
+    _, (P_V,), _ = metrics.truth_projectors(truth, [np.arange(4)], 6)
+    (full,) = [M for M in made if M.shape == (4, 6, 6)]
+    assert np.shares_memory(P_V, full)
+    assert all(np.array_equal(P, V @ V.T) for P, V in zip(P_V, truth.V_true, strict=True))
