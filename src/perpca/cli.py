@@ -150,7 +150,12 @@ def _read_config(path, options):
     """The config file's values, each checked as its flag would be; null means the default."""
     if not path:
         return {}
-    config = json.loads(Path(path).read_text())
+    try:
+        config = json.loads(Path(path).read_text())
+        if not isinstance(config, dict):
+            raise ValueError("expected a JSON object")
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError included
+        raise SystemExit(f"config file {path}: {exc}") from None
     by_dest = {option.dest: option for option in options}
     unknown = set(config) - set(by_dest)
     if unknown:
@@ -160,7 +165,7 @@ def _read_config(path, options):
         try:
             if value is not None:
                 checked[key] = by_dest[key].from_config(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
             raise SystemExit(f"config key {key!r}: {exc}") from None
     return checked
 
@@ -182,6 +187,8 @@ def _resolve(args):
 def cmd_synth(args):
     t0 = time.time()
     opt = _resolve(args)
+    if opt["groups"] is not None and not 1 <= opt["groups"] <= opt["N"]:
+        raise ValueError(f"--groups must lie in [1, N={opt['N']}], got {opt['groups']}")
     spec = synth.GenerativeSpec(
         d=opt["d"], N=opt["N"], r1=opt["r1"], r2=opt["r2"],
         n_per_client=_int_list(opt["n"]),

@@ -234,22 +234,27 @@ def write_clients(out_dir, draw, shapes, fmt="csv", header=False):
     return paths
 
 
-_CLIENT_FILE = re.compile(r"client_(\d+)\.(csv|mat64)$")
+def _client_sequence(directory, stem):
+    """The one client-file rule: the ``<stem><i>.csv`` or ``.mat64`` files of ``directory``,
+    one per client i = 0, 1, ...; a second file for a client, or a gap, is a ValueError."""
+    pattern = re.compile(re.escape(stem) + r"(\d+)\.(csv|mat64)$")
+    found = sorted((int(m.group(1)), p) for p in Path(directory).iterdir()
+                   if (m := pattern.match(p.name)))
+    for i, (index, path) in enumerate(found):
+        if index != i:
+            raise ValueError(f"{path}: " + (f"a second file for client {index}" if index < i
+                                            else f"no {stem}{i} file before it"))
+    return [path for _, path in found]
 
 
 def resolve_data_paths(sources):
-    """Expand directories into their client files, sorted by client index."""
+    """Expand directories into their ``client_<i>`` files by :func:`_client_sequence`."""
     paths = []
-    for src in sources:
-        src = Path(src)
-        if src.is_dir():
-            found = [(int(m.group(1)), p) for p in src.iterdir()
-                     if (m := _CLIENT_FILE.match(p.name))]
-            if not found:
-                raise FileNotFoundError(f"no client_<i> data files in {src}")
-            paths.extend(p for _, p in sorted(found))
-        else:
-            paths.append(src)
+    for src in map(Path, sources):
+        found = _client_sequence(src, "client_") if src.is_dir() else [src]
+        if not found:
+            raise FileNotFoundError(f"no client_<i> data files in {src}")
+        paths.extend(found)
     return paths
 
 
@@ -305,23 +310,15 @@ def save_components(out_dir, U=None, V=None, fmt="csv", prefix=""):
 def load_components(comp_dir, prefix=""):
     """Read ``<prefix>U`` and ``<prefix>V_<i>`` files; either may be absent.
 
-    There must be at most one file per frame and the ``V_<i>`` files must be
-    one per client ``i = 0, 1, ...``: a second file for one frame, or a gap,
-    raises a ValueError naming the first such file.
+    There must be at most one file for the shared frame, and the ``V_<i>`` files follow
+    :func:`_client_sequence`; either defect raises a ValueError naming the file.
     """
     comp_dir = Path(comp_dir)
     shared = [path for ext in ("csv", "mat64") if (path := comp_dir / f"{prefix}U.{ext}").exists()]
     if len(shared) > 1:
         raise ValueError(f"{shared[1]}: a second file for the shared frame")
     U = load_matrix(shared[0]) if shared else None
-    pattern = re.compile(re.escape(prefix) + r"V_(\d+)\.(csv|mat64)$")
-    found = sorted((int(m.group(1)), p) for p in comp_dir.iterdir()
-                   if (m := pattern.match(p.name)))
-    for i, (index, path) in enumerate(found):
-        if index != i:
-            raise ValueError(f"{path}: " + (f"a second file for client {index}" if index < i
-                                            else f"no {prefix}V_{i} file before it"))
-    return U, [load_matrix(path) for _, path in found]
+    return U, [load_matrix(path) for path in _client_sequence(comp_dir, f"{prefix}V_")]
 
 
 def save_trace(path, trace):
@@ -361,5 +358,5 @@ def write_manifest(out_dir, command, flags, inputs=None, outputs=(), metrics=Non
         "wall_time_s": wall_time_s,
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path

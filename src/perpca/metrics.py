@@ -52,12 +52,11 @@ def stacked_subspace_error(U, V, groups, projectors):
 def subspace_error(state, truth):
     """||P_U - P_U*||_F^2 plus the client average of ||P_Vi - P_Vi*||_F^2.
 
-    Zero iff every estimated subspace matches its planted counterpart. A frame
-    that breaks :func:`stacks.require_shape` raises ``DimensionError`` naming it.
+    Zero iff every estimated subspace matches its planted counterpart. A true
+    frame that breaks :func:`stacks.require_shape` raises ``DimensionError`` naming it.
     """
-    stacks.require_shape(state.U, state.d, "shared frame")
-    groups, V = stacks.by_rank(state.V, state.d)
-    return stacked_subspace_error(state.U, V, groups, truth_projectors(truth, groups, state.d))
+    return stacked_subspace_error(state.U, state.stacks, state.groups,
+                                  truth_projectors(truth, state.groups, state.d))
 
 
 def rho_matrix(V_list):

@@ -21,23 +21,32 @@ CROSS_TOL = 1e-8
 SCALE_RANGE = (1e-100, 1e100)  # for a nonzero covariance's largest entry: squares stay normal
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ComponentState:
     """Shared frame U (d x r1) plus one local frame per client (d x r2_i).
 
-    Invariants: all frames orthonormal, and U^T V_i = 0 for every client.
+    Invariants: all frames orthonormal, and U^T V_i = 0 for every client. Making a
+    state checks every frame's shape and groups the local frames once: it keeps the
+    ``groups`` and ``stacks`` of :func:`stacks.by_rank`, and ``V``, the tuple of
+    client-ordered views into ``stacks``. It is frozen, so they cannot disagree.
     """
 
     U: np.ndarray
-    V: list = field(default_factory=list)
+    V: tuple = ()
+    groups: list = field(init=False, repr=False)
+    stacks: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        U = np.asarray(self.U, dtype=float)
+        stacks.require_shape(U, U.shape[0] if U.ndim else 0, "shared frame")
+        groups, V = stacks.by_rank(self.V, U.shape[0])
+        for name, value in [("U", U), ("V", tuple(stacks.client_order(groups, V))),
+                            ("groups", groups), ("stacks", V)]:
+            object.__setattr__(self, name, value)
 
     @property
     def d(self):
         return self.U.shape[0]
-
-    @property
-    def r1(self):
-        return self.U.shape[1]
 
     @property
     def r2(self):
@@ -53,7 +62,7 @@ class ComponentState:
         the lowest-numbered failing client, orthonormality before cross-orthogonality."""
         U = stiefel.require_frame(self.U, name="shared frame")
         failing = {}  # the cross product of each failing client
-        for clients, Vg in zip(*stacks.by_rank(self.V, U.shape[0])):
+        for clients, Vg in zip(self.groups, self.stacks):
             cross = np.max(np.abs(U.T @ Vg), axis=(1, 2))
             ok = (stiefel.orthonormality_deviation(Vg) <= stiefel.ORTH_TOL) & (cross <= CROSS_TOL)
             failing.update(zip(clients[~ok].tolist(), cross[~ok]))
@@ -183,9 +192,7 @@ def _diagnostics_of(state, covs):
     if covs.shape[:2] != (state.n_clients, state.d):
         raise DimensionError(f"{len(covs)} covariances of shape {covs.shape[1:]} for "
                              f"{state.n_clients} clients at d={state.d}")
-    stacks.require_shape(state.U, state.d, "shared frame")
-    groups, V = stacks.by_rank(state.V, state.d)
-    return diagnostics(np.asarray(state.U, dtype=float), V, stacks.by_group(groups, covs), groups)
+    return diagnostics(state.U, state.stacks, stacks.by_group(state.groups, covs), state.groups)
 
 
 def objective(state, covs):
@@ -204,11 +211,10 @@ def reconstruction_error(Y, U, V=None):
     must pass :meth:`ComponentState.validate`: U^T V = 0 makes P_U + P_V a projector.
     """
     Y = np.asarray(Y, dtype=float)
-    frames = [np.asarray(F, dtype=float) for F in ([U] if V is None else [U, V])]
-    ComponentState(frames[0], frames[1:]).validate()
-    if Y.ndim != 2 or frames[0].shape[0] != Y.shape[0]:
-        raise DimensionError(f"data {Y.shape} and frame {frames[0].shape} disagree on d")
-    return _reconstruction_error(Y, frames)
+    state = ComponentState(U, [] if V is None else [V]).validate()
+    if Y.ndim != 2 or state.d != Y.shape[0]:
+        raise DimensionError(f"data {Y.shape} and frame {state.U.shape} disagree on d")
+    return _reconstruction_error(Y, [state.U, *state.V])
 
 
 def _reconstruction_error(Y, frames):

@@ -40,8 +40,8 @@ class SolverConfig:
     r2: Union[int, Sequence[int]]
     rounds: int = 200
     stepsize: Union[float, str] = "auto"  # positive float or "auto"
-    choice: int = 1  # one of CHOICES
-    retraction: str = "polar"  # a key of stiefel.RETRACTIONS
+    choice: int = 1  # one of CHOICES; choice 2's joint step always uses the polar retraction
+    retraction: str = "polar"  # stiefel.RETRACTIONS key: choice 1's step, aggregation, correction
     init: str = "distpca"  # one of INITS
     seed: int = 0
     record_trace: bool = True
@@ -60,10 +60,12 @@ class SolverConfig:
         if isinstance(self.stepsize, str):
             if self.stepsize != "auto":
                 raise ValueError(f"stepsize must be positive or 'auto', got {self.stepsize!r}")
-        elif self.stepsize <= 0:
-            raise ValueError("explicit stepsize must be positive")
-        if self.stepsize_scale <= 0:
-            raise ValueError("stepsize_scale must be positive")
+        elif not 0 < self.stepsize < np.inf:  # NaN fails too
+            raise ValueError(f"stepsize must be finite and > 0, got {self.stepsize}")
+        if not 0 < self.stepsize_scale < np.inf:
+            raise ValueError(f"stepsize_scale must be finite and > 0, got {self.stepsize_scale}")
+        if self.stop_subspace_tol is not None and not self.stop_subspace_tol >= 0:
+            raise ValueError(f"stop_subspace_tol must be >= 0, got {self.stop_subspace_tol}")
 
 
 class RoundTrace(NamedTuple):
@@ -184,11 +186,6 @@ def _init_distpca(covs, r1, r2_list, seed):
     return U, V
 
 
-def _mT(A):
-    # transpose of each matrix in a stack (plain transpose for a matrix)
-    return np.swapaxes(A, -1, -2)
-
-
 def correction_step(V_half, U_next, retraction="polar"):
     """Restore cross-orthogonality of a local frame against a fresh shared frame.
 
@@ -199,7 +196,7 @@ def correction_step(V_half, U_next, retraction="polar"):
     a stack ``(N, d, r2)`` of local frames, corrected slice by slice.
     """
     retract = stiefel.RETRACTIONS[retraction]
-    cross = _mT(U_next) @ V_half
+    cross = U_next.T @ V_half
     if not cross.any():
         return V_half
     return retract(V_half, -U_next @ cross)
@@ -208,14 +205,6 @@ def correction_step(V_half, U_next, retraction="polar"):
 def _joint_frame(U, V):
     # [U, V]; a shared U is repeated along the client axis of a stacked V
     return np.concatenate([np.broadcast_to(U, V.shape[:-1] + U.shape[-1:]), V], axis=-1)
-
-
-def _parallel_gradient(U, V, S):
-    # tangent projection, at the concatenated frame [U, V], of S [U, V]
-    W = _joint_frame(U, V)
-    G = S @ W
-    sym = _mT(W) @ G
-    return G - W @ ((sym + _mT(sym)) / 2.0)
 
 
 def client_update_choice1(U, V, S, eta, retraction="polar"):
@@ -227,7 +216,8 @@ def client_update_choice1(U, V, S, eta, retraction="polar"):
     every client steps at once and both outputs are stacks.
     """
     r1 = U.shape[-1]
-    g = _parallel_gradient(U, V, S)
+    W = _joint_frame(U, V)
+    g = stiefel.project_tangent(W, S @ W)  # the tangent gradient at [U, V]
     U_candidate = U + eta * g[..., :r1]
     V_half = stiefel.RETRACTIONS[retraction](V, eta * g[..., r1:])
     return U_candidate, V_half
@@ -341,20 +331,20 @@ def run_perpca(covs, config, truth=None):
     d = covs.shape[1]
     r2_list = model.local_ranks(config.r1, config.r2, len(covs), d)
     if config.init == "random":
-        U, V = _init_random(d, config.r1, r2_list, config.seed)
+        state = model.ComponentState(*_init_random(d, config.r1, r2_list, config.seed))
     else:
-        U, V = _init_distpca(covs, config.r1, r2_list, config.seed)
+        state = model.ComponentState(*_init_distpca(covs, config.r1, r2_list, config.seed))
     if config.stop_subspace_tol is not None and truth is None:
         raise ValueError("early stopping on subspace error needs ground truth")
     if config.rounds == 0:
-        return model.ComponentState(U, V).validate(), []
-    groups, V = stacks.by_rank(V, d)
+        return state.validate(), []
+    groups = state.groups
     projectors = None
     if truth is not None and (config.record_trace or config.stop_subspace_tol is not None):
         projectors = metrics.truth_projectors(truth, groups, d)
     group_covs = stacks.by_group(groups, covs)
     trace = []
-    for rnd, U, V in _rounds(U, V, group_covs, groups, config):
+    for rnd, U, V in _rounds(state.U, state.stacks, group_covs, groups, config):
         sub_err = None
         if projectors is not None:
             sub_err = metrics.stacked_subspace_error(U, V, groups, projectors)

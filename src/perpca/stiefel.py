@@ -2,9 +2,9 @@
 
 A *frame* is a ``(d, r)`` ndarray ``U`` with ``U.T @ U = I`` up to
 ``ORTH_TOL``. Update directions ``xi`` are arbitrary ``(d, r)`` matrices.
-The retractions also take a stack of frames, ``(N, d, r)``, and treat each
-slice exactly as they treat a single frame. All functions are pure: inputs
-are never mutated.
+The projections and retractions also take a stack of frames, ``(N, d, r)``,
+and of updates, and treat each slice exactly as they treat a single frame.
+All functions are pure: inputs are never mutated.
 """
 
 import numpy as np
@@ -37,10 +37,10 @@ def require_frame(F, name="frame"):
     return F
 
 
-def _check_pair(U, xi, stacked=False):
+def _check_pair(U, xi):
     U = np.asarray(U, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if U.ndim not in ((2, 3) if stacked else (2,)) or xi.shape != U.shape:
+    if U.ndim not in (2, 3) or xi.shape != U.shape:
         raise DimensionError(f"shape mismatch: frame {U.shape}, update {xi.shape}")
     if U.shape[-1] > U.shape[-2]:
         raise DimensionError(f"frame {U.shape} has more columns than rows")
@@ -50,8 +50,8 @@ def _check_pair(U, xi, stacked=False):
 def project_normal(U, xi):
     """Component of xi normal to the manifold at U: (1/2) U (U^T xi + xi^T U)."""
     U, xi = _check_pair(U, xi)
-    sym = U.T @ xi
-    return U @ ((sym + sym.T) / 2.0)
+    sym = np.swapaxes(U, -1, -2) @ xi
+    return U @ ((sym + np.swapaxes(sym, -1, -2)) / 2.0)
 
 
 def project_tangent(U, xi):
@@ -65,7 +65,7 @@ def project_tangent(U, xi):
 def _retract(U, xi, factor, margin_name):
     # per slice: a zero update returns U, any other is factor(U + xi), which
     # also gives the slice's rank margin
-    U, xi = _check_pair(U, xi, stacked=True)
+    U, xi = _check_pair(U, xi)
     if not np.isfinite(xi).all():  # one flat pass; the failing slice is found only here
         finite = np.isfinite(xi).all(axis=(-2, -1))
         raise SingularityError("non-finite update: the stepsize or the covariances are too large",

@@ -47,9 +47,9 @@ class GenerativeSpec:
             raise ValueError(f"{len(self.n_per_client)} sample counts for {self.N} clients")
         if min(self.n_per_client) < 1:
             raise ValueError("every client needs at least one observation")
-        for std in (self.global_score_std, self.local_score_std, self.noise_std):
-            if std < 0:
-                raise ValueError("standard deviations must be >= 0")
+        for name in ("global_score_std", "local_score_std", "noise_std"):
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.score_dist not in SCORE_DISTS:
             raise ValueError(f"unknown score distribution {self.score_dist!r}")
         if self.theta_target is not None:

@@ -77,20 +77,19 @@ def _require_orthonormal(F, name):
         )
 
 
-def validate(state):
-    """``ComponentState.validate`` one client at a time: each local frame's shape,
-    orthonormality and cross product with the shared frame, in that order."""
-    stacks.require_shape(state.U, state.d, "shared frame")
-    _require_orthonormal(state.U, "shared frame")
-    for i, Vi in enumerate(state.V):
-        stacks.require_shape(Vi, state.d, f"local frame {i}")
+def validate(U, V):
+    """``ComponentState(U, V).validate()`` one client at a time: each local frame's
+    shape, orthonormality and cross product with the shared frame, in that order."""
+    stacks.require_shape(U, U.shape[0], "shared frame")
+    _require_orthonormal(U, "shared frame")
+    for i, Vi in enumerate(V):
+        stacks.require_shape(Vi, U.shape[0], f"local frame {i}")
         _require_orthonormal(Vi, f"local frame {i}")
-        dev = np.max(np.abs(state.U.T @ Vi))
+        dev = np.max(np.abs(U.T @ Vi))
         if not dev <= model.CROSS_TOL:
             raise InvariantError(
                 f"client {i}: shared/local cross product {dev:.3e} exceeds {model.CROSS_TOL:.1e}"
             )
-    return state
 
 
 def operator_norm(S, rel_tol=1e-6, max_iter=10000):

@@ -374,6 +374,36 @@ class TestOptionTable:
         with pytest.raises(SystemExit, match=f"^config key '{key}': "):
             run(*argv, "--config", cfg)
 
+    @pytest.mark.parametrize("content, message", [
+        ('{"seed": ', r"config file \S*cfg\.json: Expecting value"),
+        (None, r"config file \S*cfg\.json: .*No such file"),
+        ('[1, 2]', r"config file \S*cfg\.json: expected a JSON object$"),
+        ('{"d": 1e400}', r"config key 'd': cannot convert float infinity to integer$"),
+    ], ids=["invalid-json", "missing", "not-an-object", "overflow"])
+    def test_bad_config_file_exits_naming_the_file_or_key(self, tmp_path, content, message):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        with pytest.raises(SystemExit, match=f"^{message}"):
+            run("synth", "--config", cfg, "--out", tmp_path / "out")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--local-std", "inf"], "local_score_std must be finite"),
+        (["synth", "--noise-std", "nan"], "noise_std must be finite"),
+        (["synth", "--N", "3", "--groups", "-2"], r"--groups must lie in \[1, N=3\], got -2"),
+        (["synth", "--N", "3", "--groups", "0"], r"--groups must lie in \[1, N=3\], got 0"),
+        (["synth", "--N", "3", "--groups", "4"], r"--groups must lie in \[1, N=3\], got 4"),
+        (["fit", "DATA", "--stop-tol", "nan"], "stop_subspace_tol must be >= 0"),
+        (["fit", "DATA", "--eta", "nan"], "stepsize must be finite"),
+        (["fit", "DATA", "--stepsize-scale", "inf"], "stepsize_scale must be finite"),
+    ])
+    def test_bad_number_fails_before_anything_is_written(self, synth_dir, tmp_path, argv,
+                                                         message):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            run(*[synth_dir if a == "DATA" else a for a in argv], "--out", out)
+        assert not out.exists()
+
     def test_config_key_of_an_ignored_flag_is_unknown(self, synth_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fmt": "bin"}))

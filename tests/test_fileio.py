@@ -107,12 +107,25 @@ class TestDatasets:
         assert all(np.array_equal(a, b) for a, b in zip(back, Ys))
 
     def test_client_order_is_numeric(self, tmp_path):
-        for i in (0, 2, 10, 1):
+        for i in (0, 2, 10, 1, *range(3, 10)):
             fileio.save_matrix(tmp_path / f"client_{i}.csv", np.full((2, 2), float(i)))
         paths = fileio.resolve_data_paths([tmp_path])
-        assert [p.name for p in paths] == [
-            "client_0.csv", "client_1.csv", "client_2.csv", "client_10.csv",
-        ]
+        assert [p.name for p in paths] == [f"client_{i}.csv" for i in range(11)]
+
+    @pytest.mark.parametrize("defect, message", [
+        ("gap", r"client_2\.csv: no client_1 file before it$"),
+        ("first", r"client_1\.csv: no client_0 file before it$"),
+        ("twice", r"client_0\.mat64: a second file for client 0$"),
+    ])
+    def test_data_directory_is_a_complete_client_sequence(self, tmp_path, defect, message):
+        _write(tmp_path, [np.eye(2)] * 3)
+        if defect == "twice":  # as synth run twice into one directory, in both formats
+            fileio.write_clients(tmp_path, lambda i: np.eye(2), [(2, 2)] * 3, fmt="bin")
+        else:
+            (tmp_path / f"client_{1 if defect == 'gap' else 0}.csv").unlink()
+        with pytest.raises(ValueError, match=message) as exc:
+            fileio.resolve_data_paths([tmp_path])
+        assert str(tmp_path) in str(exc.value)
 
     def test_inconsistent_dimension_rejected(self, tmp_path):
         fileio.save_matrix(tmp_path / "client_0.csv", np.zeros((3, 4)))
@@ -195,6 +208,13 @@ def test_manifest_schema(tmp_path):
     }
     assert payload["command"] == "fit"
     assert payload["input_digests"] == {str(data): fileio.file_digest(data)}
+
+
+def test_manifest_refuses_a_non_finite_number(tmp_path):
+    # NaN and Infinity are not JSON; nothing is written
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        fileio.write_manifest(tmp_path, "synth", {"noise_std": float("nan")})
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.fixture()

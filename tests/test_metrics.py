@@ -91,10 +91,10 @@ class TestSubspaceError:
     def test_bad_state_frame_is_named(self):
         rng = _rng(4)
         U, V = _feasible_family(6, 2, 1, 3, rng)
-        for state, message in [(ComponentState(U, [V[0], V[1][:5], V[2]]), r"^local frame 1 "),
-                               (ComponentState(U, [V[0], V[1], V[2][:, 0]]), r"^local frame 2 ")]:
+        for frames, message in [([V[0], V[1][:5], V[2]], r"^local frame 1 "),
+                                ([V[0], V[1], V[2][:, 0]], r"^local frame 2 ")]:
             with pytest.raises(DimensionError, match=message):
-                metrics.subspace_error(state, (U, V))
+                metrics.subspace_error(ComponentState(U, frames), (U, V))  # raises when made
 
     def test_rotation_invariance(self):
         rng = _rng(2)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import re
 
 import numpy as np
@@ -325,6 +326,7 @@ _R2_MIXED = [1, 3, 2, 3, 1, 2, 3]
 
 
 def _with_defect(state, defect, k):
+    # the frames (U, V) of ``state`` with one defect
     U, V = state.U.copy(), [Vi.copy() for Vi in state.V]
     if defect == "nan-U":
         U[3, 1] = np.nan
@@ -336,7 +338,7 @@ def _with_defect(state, defect, k):
         V[k][:, 0] = U[:, 0]
     else:  # "shape"
         V[k] = np.vstack([V[k], np.zeros((1, V[k].shape[1]))])
-    return model.ComponentState(U, V)
+    return U, V
 
 
 @pytest.mark.parametrize("r2", [2, _R2_MIXED], ids=["equal", "mixed"])
@@ -351,12 +353,14 @@ def test_stacked_validate_raises_what_the_client_loop_raises(r2, defect, k):
         raw = rng.standard_normal((8, r))
         V.append(stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw)))
     good = model.ComponentState(U, V)
-    assert good.validate() is good and ref.validate(good) is good
-    bad = _with_defect(good, defect, k)
+    assert good.validate() is good
+    ref.validate(U, V)
+    U, V = _with_defect(good, defect, k)
     with pytest.raises((DimensionError, InvariantError)) as expected:
-        ref.validate(bad)
+        ref.validate(U, V)
+    # a bad shape raises when the state is made, any other defect in validate
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-        bad.validate()
+        model.ComponentState(U, V).validate()
 
 
 def test_orthonormality_deviation_of_a_stack_is_that_of_each_frame():
@@ -432,13 +436,56 @@ def test_each_entry_point_checks_the_ranks_once(entry, tmp_path, checks_run):
 def test_bad_local_frame_is_named(call, bad):
     state = _random_state(5, 1, 2, 3, _rng(21))
     truth = (state.U, list(state.V))
-    state.V[1] = {"rows": np.vstack([state.V[1], np.zeros((1, 2))]), "1-d": state.V[1][:, 0],
-                  "wide": np.eye(5, 6)}[bad]
+    V = list(state.V)
+    V[1] = {"rows": np.vstack([V[1], np.zeros((1, 2))]), "1-d": V[1][:, 0],
+            "wide": np.eye(5, 6)}[bad]
     with pytest.raises(DimensionError, match=r"^local frame 1 has shape "):
+        state = model.ComponentState(state.U, V)  # raises here, before the call
         if call == "subspace_error":
             metrics.subspace_error(state, truth)
         else:
             call(state, _COVS)
+
+
+def test_a_state_is_grouped_once_when_it_is_made(checks_run):
+    state = _random_state(5, 1, 2, 3, _rng(25))
+    assert checks_run["by_rank"] == 1
+    state.validate()
+    for call in (model.objective, model.kkt_residual, model.mean_reconstruction_error):
+        call(state, _COVS)
+    assert checks_run["by_rank"] == 1
+    metrics.subspace_error(state, (state.U, list(state.V)))
+    assert checks_run["by_rank"] == 2  # the truth's frames only
+
+
+def test_a_grid_operation_groups_frames_at_most_five_times(checks_run):
+    # as perfbench's grid-many-clients operation: a solve given (unread) truth,
+    # distpca, and the validation and subspace error of both states
+    rng = _rng(26)
+    planted = _random_state(15, 2, 3, 6, rng)
+    truth = (planted.U, list(planted.V))
+    covs = [_random_cov(15, rng) for _ in range(6)]
+    checks_run.clear()
+    state, _ = solver.run_perpca(covs, solver.SolverConfig(r1=2, r2=3, rounds=3,
+                                                           record_trace=False), truth=truth)
+    base = baselines.distpca(covs, 2, 3)
+    for checked in (state, base):
+        checked.validate()
+        metrics.subspace_error(checked, truth)
+    assert checks_run["by_rank"] <= 5
+
+
+def test_local_frames_cannot_go_stale():
+    rng = _rng(27)
+    state = model.ComponentState(stiefel.random_frame(6, 2, rng),
+                                 [stiefel.random_frame(6, r, rng) for r in (1, 2, 1)])
+    with pytest.raises(TypeError):
+        state.V[1] = state.V[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.V = state.V[::-1]
+    state.V[2][0, 0] = 7.0  # each local frame is a view into its group's stack
+    assert [clients.tolist() for clients in state.groups] == [[0, 2], [1]]
+    assert state.stacks[0][1, 0, 0] == 7.0
 
 
 def test_by_rank_checks_each_group_once_and_names_the_lowest_bad_frame(monkeypatch):

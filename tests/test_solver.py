@@ -519,6 +519,14 @@ class TestStackedClients:
 
 
 class TestInputChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("stepsize", np.nan), ("stepsize", np.inf), ("stepsize_scale", np.nan),
+        ("stepsize_scale", np.inf), ("stop_subspace_tol", np.nan), ("stop_subspace_tol", -1e-3)])
+    def test_bad_number_fails_at_the_config(self, field, value):
+        # not as a round-1 SingularityError, nor as a stop rule that never stops
+        with pytest.raises(ValueError, match=rf"\b{field} must .*, got {value}$"):
+            solver.SolverConfig(r1=1, r2=1, **{field: value})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_covariance_names_client(self, bad):
         rng = _rng(23)

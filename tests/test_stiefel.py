@@ -90,6 +90,16 @@ class TestProjections:
         with pytest.raises(DimensionError):
             stiefel.project_tangent(U, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("project", [stiefel.project_normal, stiefel.project_tangent])
+    def test_stack_is_projected_slice_by_slice_bitwise(self, project):
+        rng = _rng(6)
+        U = np.stack([stiefel.random_frame(7, 3, rng) for _ in range(5)])
+        xi = rng.standard_normal((5, 7, 3))
+        stacked = project(U, xi)
+        assert stacked.shape == xi.shape
+        for Ui, xii, out in zip(U, xi, stacked, strict=True):
+            assert out.tobytes() == project(Ui, xii).tobytes()
+
 
 class TestPolarRetract:
     def test_zero_update_identity(self):

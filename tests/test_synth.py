@@ -115,6 +115,12 @@ class TestGenerateComponents:
         assert np.array_equal(truth.V_true[2], truth.V_true[3])
         assert stiefel.subspace_distance(truth.V_true[0], truth.V_true[2]) > 1e-3
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("field", ["global_score_std", "local_score_std", "noise_std"])
+    def test_bad_standard_deviation_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0, got {value}$"):
+            _spec(**{field: value})
+
     def test_rank_overflow_rejected(self):
         with pytest.raises(ValueError):
             _spec(d=3, r1=2, r2=2)
