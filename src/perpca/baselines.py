@@ -93,6 +93,9 @@ def central_pca(covs, counts, r_total):
     covs = model.covariance_stack(covs)
     if len(counts) != len(covs):
         raise DimensionError(f"{len(counts)} counts for {len(covs)} covariances")
+    for i, n in enumerate(counts):
+        if not 0 <= n < np.inf:  # NaN fails too
+            raise ValueError(f"client {i}: observation count {n} must be finite and >= 0")
     total = float(sum(counts))
     if total <= 0:
         raise ValueError("pooled dataset is empty")

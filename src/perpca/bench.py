@@ -49,7 +49,8 @@ def _drive(scenario, points, repeats, seed0, measure, **kwargs):
     ``points`` holds ``(columns, fields)`` pairs: a point's leading row
     columns and its ``GenerativeSpec`` fields other than the seed. For each
     seed the driver builds the planted instance and its client covariances,
-    drawing and reducing one client at a time, and calls
+    each client drawn and reduced in one task of
+    :func:`synth.generate_observations`, and calls
     ``measure(spec, truth, covs, **kwargs)``, which returns named
     values ``{(method, metric[, group]): value}``. Each name becomes one row
     per point, in the order the measure returns it: the values' mean, std,
@@ -63,8 +64,8 @@ def _drive(scenario, points, repeats, seed0, measure, **kwargs):
         for k in range(repeats):
             spec = synth.GenerativeSpec(**fields, seed=seed0 + k)
             truth = synth.generate_components(spec)
-            covs = [model.covariance(synth.client_observations(truth, spec, i))
-                    for i in range(spec.N)]
+            covs = synth.generate_observations(truth, spec,
+                                               reduce=lambda i, Y: model.covariance(Y))
             for name, value in measure(spec, truth, covs, **kwargs).items():
                 named.setdefault(name, []).append(value)
         columns = {**columns, **{key: fields[key] for key in ("d", "N", "r1", "r2")}}
@@ -188,11 +189,12 @@ def _held_out_errors(spec, truth, covs, rounds, n_test):
               "cpca": [[pooled]] * spec.N, "distpca": [[d_state.U, V] for V in d_state.V],
               "truth": [[t_state.U, V] for V in t_state.V]}
     test_spec = dataclasses.replace(spec, n_per_client=n_test)
-    per_client = {method: [] for method in frames}
-    for i in range(spec.N):  # one held-out client in memory at a time
-        Y = synth.client_observations(truth, test_spec, i, test_split=1)
-        for method, frame_sets in frames.items():
-            per_client[method].append(model._reconstruction_error(Y, frame_sets[i]))
+
+    def errors(i, Y):  # one held-out client in memory per task
+        return [model._reconstruction_error(Y, frame_sets[i]) for frame_sets in frames.values()]
+
+    rows = synth.generate_observations(truth, test_spec, test_split=1, reduce=errors)
+    per_client = dict(zip(frames, zip(*rows)))  # method -> its errors in client order
     half = spec.N // 2
     return {(method, "test_reconstruction_error", group): float(np.mean(errs[clients]))
             for group, clients in (("rich", slice(half)), ("sparse", slice(half, None)))

@@ -25,6 +25,10 @@ always for ``.mat64``, a serial loop runs the tasks one file at a time.
 Both paths write the same bytes and give the same bits, and raise the
 error the serial loop would have raised first. Workers inherit what they
 need by fork and pickle only their results back.
+
+Per-client work that stays in memory, such as drawing planted clients,
+runs through :func:`map_clients` on threads of this process instead. It
+reads the same count of usable CPUs as the fork path.
 """
 
 import contextlib
@@ -53,6 +57,9 @@ _CSV_BLOCK_ROWS = 64
 # Forking and joining two workers costs 6-9 ms on a 2-vCPU host; 2 MiB is
 # about 0.13 s of serial CSV writing (2^18 values) or 50 ms of parsing.
 _FORK_MIN_BYTES = 2 << 20
+# Starting and joining a thread pool costs well under a millisecond; 1 MiB is
+# about 7 ms of serial planted draws (2^17 values) on a 2.1 GHz Xeon core.
+_THREAD_MIN_BYTES = 1 << 20
 
 
 def save_matrix(path, M, header=None):
@@ -209,6 +216,31 @@ def _each_file(task, paths, payload_bytes):
             proc.join()
         for conn in conns:
             conn.close()
+
+
+def map_clients(task, count, payload_bytes):
+    """``[task(i) for i in range(count)]``, on threads when that can pay off.
+
+    Threads run when there are at least two tasks, at least two CPUs are
+    usable and ``payload_bytes``, the float64 bytes the tasks make, is at
+    least ``_THREAD_MIN_BYTES``; there are ``min(count, usable CPUs)`` of
+    them. Otherwise the loop runs in this thread. The results come in task
+    order, a task that raises is re-raised for the lowest index that
+    raised, as the loop would raise it, and every thread is joined before
+    this returns. A task gains only while it runs outside the interpreter
+    lock, as numpy's random draws, BLAS and ufuncs on large arrays do.
+    """
+    # perfbench's tracer assumes one thread, so a task should call no function it
+    # wraps (tracer.WRAPPED): its spans would interleave. bench._drive's task calls
+    # model.covariance, which is wrapped; no workload traces bench.
+    threads = min(count, _usable_cpus()) if payload_bytes >= _THREAD_MIN_BYTES else 1
+    if threads < 2:
+        return [task(i) for i in range(count)]
+    # imported on first use: it loads logging (0.4 MB), which the file commands never need
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(task, range(count)))
 
 
 def write_clients(out_dir, draw, shapes, fmt="csv", header=False):

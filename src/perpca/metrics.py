@@ -131,6 +131,11 @@ def spectral_cluster(rho, k, seed=0):
     n = rho.shape[0]
     if rho.shape != (n, n):
         raise DimensionError(f"distance matrix must be square, got {rho.shape}")
+    bad = np.argwhere(~((rho >= 0) & (rho < np.inf)))  # NaN fails both
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"distance {rho[row, col]} in row {row}, column {col} "
+                         "must be finite and >= 0")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n} clusters, got k={k}")
     off = rho[~np.eye(n, dtype=bool)]
@@ -232,6 +237,10 @@ def heterogeneity(projectors):
     if len(projectors) == 0:
         raise ValueError("need at least one local subspace")
     mean = sum(np.asarray(P, dtype=float) for P in projectors) / len(projectors)
+    if not np.isfinite(mean).all():
+        bad = [i for i, P in enumerate(projectors) if not np.isfinite(P).all()]
+        raise ValueError(f"projector {bad[0]} has a non-finite entry" if bad
+                         else "the mean of the projectors overflows")
     lam_max = float(np.linalg.eigvalsh(mean)[-1])
     return max(0.0, 1.0 - lam_max)
 

@@ -9,6 +9,14 @@ with orthonormal shared frame U (d x r1), per-client local frames V_i
 Gaussian noise eps. Heterogeneity of the local frames is summarized by
 theta = 1 - lambda_max(mean of local projectors); theta > 0 makes the
 shared/local split identifiable.
+
+Each client draws from its own substreams of the seed, so the clients'
+draws are independent of each other and of the order they run in.
+:func:`generate_observations` runs them through :func:`fileio.map_clients`:
+on ``min(N, usable CPUs)`` threads when the draw is at least
+``fileio._THREAD_MIN_BYTES`` of float64 values, serially below it, with the
+results in client order and the same bits either way. BLAS thread settings
+such as ``OPENBLAS_NUM_THREADS`` do not limit these threads.
 """
 
 from dataclasses import dataclass
@@ -16,7 +24,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from . import metrics, model, stiefel
+from . import fileio, metrics, model, stiefel
 from .rng import substream
 
 SCORE_DISTS = ("gaussian", "rademacher")
@@ -137,8 +145,11 @@ def _scores(rng, shape, std, dist):
     if std == 0.0:
         return np.zeros(shape)
     if dist == "rademacher":
-        return std * rng.choice([-1.0, 1.0], size=shape)
-    return std * rng.standard_normal(shape)
+        x = rng.choice([-1.0, 1.0], size=shape)
+    else:
+        x = rng.standard_normal(shape)
+    x *= std  # IEEE products commute: the bits of std * x
+    return x
 
 
 def client_observations(truth, spec, i, test_split=0):
@@ -154,12 +165,25 @@ def client_observations(truth, spec, i, test_split=0):
     n = spec.n_per_client[i]
     phi = _scores(rng_s, (spec.r1, n), spec.global_score_std, spec.score_dist)
     psi = _scores(rng_s, (spec.r2, n), spec.local_score_std, spec.score_dist)
-    Y = truth.U_true @ phi + truth.V_true[i] @ psi
+    # in place, with the bits of U @ phi + V_i @ psi + noise_std * noise
+    Y = truth.U_true @ phi
+    Y += truth.V_true[i] @ psi
     if spec.noise_std > 0:
-        Y = Y + spec.noise_std * rng_n.standard_normal((spec.d, n))
+        noise = rng_n.standard_normal((spec.d, n))
+        noise *= spec.noise_std
+        Y += noise
     return Y
 
 
-def generate_observations(truth, spec, test_split=0):
-    """Every client's :func:`client_observations`, one ``(d, n_i)`` array per client."""
-    return [client_observations(truth, spec, i, test_split) for i in range(spec.N)]
+def generate_observations(truth, spec, test_split=0, reduce=None):
+    """Every client's :func:`client_observations`, one ``(d, n_i)`` array per client,
+    or ``reduce(i, Y)`` of client i's array ``Y`` when ``reduce`` is given.
+
+    A reduced client's array is dropped once it is reduced, so at most one
+    per thread is held. Clients run through :func:`fileio.map_clients`.
+    """
+    def task(i):
+        Y = client_observations(truth, spec, i, test_split)
+        return Y if reduce is None else reduce(i, Y)
+
+    return fileio.map_clients(task, spec.N, 8 * spec.d * sum(spec.n_per_client))

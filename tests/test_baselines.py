@@ -144,6 +144,11 @@ class TestIndivAndCentral:
         with pytest.raises(DimensionError):
             baselines.central_pca([np.eye(3)], [1, 2], 1)
 
+    @pytest.mark.parametrize("bad", [-5, np.nan, np.inf])
+    def test_central_bad_count_named_by_client(self, bad):
+        with pytest.raises(ValueError, match=f"client 1: observation count {bad} must be finite"):
+            baselines.central_pca([np.eye(3)] * 3, [4, bad, 4], 2)
+
 
 def _bitwise_equal(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from perpca import bench, model
+from perpca import bench, fileio, model
 
 
 def test_scenario_registry():
@@ -117,3 +117,21 @@ def test_row_layout(scenario, kwargs, grid, layout, extra):
 def test_zero_repeats_rejected():
     with pytest.raises(ValueError, match="repeats must be >= 1"):
         bench.error_vs_n(repeats=0, ns=(100,), n_clients=4, rounds=5)
+
+
+_SMALL = {"error-vs-n": dict(ns=(100, 300), n_clients=10, rounds=40),
+          "error-vs-d": dict(ds=(6, 9), n=400, n_clients=6, rounds=40),
+          "error-vs-N": dict(Ns=(4, 8), n=300, rounds=60),
+          "theta-sweep": dict(thetas=(0.05, 0.3), rounds=120),
+          "knowledge-sharing": dict(n_clients=10, rounds=60, n_test=200)}
+
+
+@pytest.mark.parametrize("scenario", sorted(bench.SCENARIOS))
+def test_rows_equal_with_clients_drawn_on_threads(scenario, monkeypatch):
+    # the serial loop against three threads at any size, even on one CPU
+    rows = []
+    for min_bytes, cpus in ((1 << 62, 1), (0, 3)):
+        monkeypatch.setattr(fileio, "_THREAD_MIN_BYTES", min_bytes)
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda n=cpus: n)
+        rows.append(bench.SCENARIOS[scenario](repeats=2, **_SMALL[scenario]))
+    assert rows[0] == rows[1]

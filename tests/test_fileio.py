@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -416,6 +417,55 @@ class TestParallelFiles:
         assert serial_out == parallel_out
 
 
+class TestClientThreads:
+    @pytest.mark.parametrize("count, cpus, payload, threaded", [
+        (4, 2, fileio._THREAD_MIN_BYTES, True),
+        (4, 3, 1 << 30, True),
+        (4, 2, fileio._THREAD_MIN_BYTES - 1, False),
+        (1, 2, 1 << 30, False),
+        (4, 1, 1 << 30, False),
+    ])
+    def test_threads_only_when_they_pay(self, monkeypatch, count, cpus, payload, threaded):
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
+        results = fileio.map_clients(lambda i: (i, threading.get_ident()), count, payload)
+        assert [i for i, _ in results] == list(range(count))
+        assert {ident != threading.get_ident() for _, ident in results} == {threaded}
+
+    def test_a_raising_task_is_raised_for_the_lowest_client(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+
+        def task(i):
+            if i == 2:
+                time.sleep(0.05)  # client 5 raises first
+            if i in (2, 5):
+                raise ValueError(f"client {i} failed")
+            return i
+
+        with pytest.raises(ValueError, match="client 2 failed"):
+            fileio.map_clients(task, 8, fileio._THREAD_MIN_BYTES)
+        assert threading.active_count() == before
+
+    @pytest.mark.usefixtures("deadline")
+    def test_write_clients_forks_right_after_a_threaded_draw(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_THREAD_MIN_BYTES", 0)
+        monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", 0)
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 3)
+        drawn_on, draw = set(), synth.client_observations
+        monkeypatch.setattr(synth, "client_observations",
+                            lambda *args: drawn_on.add(threading.get_ident()) or draw(*args))
+        before = threading.active_count()
+        spec = synth.GenerativeSpec(d=6, N=3, r1=1, r2=1, n_per_client=80, noise_std=0.2)
+        Ys = synth.generate_observations(synth.generate_components(spec), spec)
+        assert drawn_on and threading.get_ident() not in drawn_on
+        assert threading.active_count() == before
+        workers, count = [], fileio._worker_count
+        monkeypatch.setattr(fileio, "_worker_count",
+                            lambda *args: workers.append(count(*args)) or workers[-1])
+        _write(tmp_path, Ys)
+        assert workers == [3]
+
+
 def _forced(monkeypatch, mode):
     """Client files through the serial loop, or through three forked workers even on one CPU."""
     monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", 1 << 62 if mode == "serial" else 0)
@@ -664,18 +714,26 @@ def _modes_differ(root):
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("blas", ["pinned", "unpinned"])
-def test_every_command_writes_the_same_bytes_serial_and_forked(tmp_path, blas):
-    # BLAS threads are fixed when numpy loads, so each setting gets its own interpreter
+def json_in_interpreter(code, blas):
+    """The JSON line that ``code`` prints last, run in a fresh interpreter with BLAS
+    threads ``"pinned"`` to one or ``"unpinned"``; the tests directory is importable.
+
+    BLAS threads are fixed when numpy loads, so each setting needs its own interpreter.
+    """
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
     if blas == "pinned":
         env.update(dict.fromkeys(_BLAS_THREADS, "1"))
     here = Path(__file__).resolve().parent
     env["PYTHONPATH"] = os.pathsep.join([str(Path(fileio.__file__).parents[1]), str(here)])
-    code = ("import json, pathlib, test_fileio; "
-            f"print(json.dumps(test_fileio._modes_differ(pathlib.Path({str(tmp_path)!r}))))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    compared, differ = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("blas", ["pinned", "unpinned"])
+def test_every_command_writes_the_same_bytes_serial_and_forked(tmp_path, blas):
+    code = ("import json, pathlib, test_fileio; "
+            f"print(json.dumps(test_fileio._modes_differ(pathlib.Path({str(tmp_path)!r}))))")
+    compared, differ = json_in_interpreter(code, blas)
     assert compared == 8 * 26 and differ == []  # 26 files per pipeline

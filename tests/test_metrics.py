@@ -212,6 +212,23 @@ class TestSpectralCluster:
         with pytest.raises(ValueError):
             metrics.spectral_cluster(np.zeros((3, 3)), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
+    def test_bad_distance_named_by_row_and_column(self, bad):
+        rho = 1.0 - np.eye(3)
+        rho[1, 2] = rho[2, 1] = bad
+        with pytest.raises(ValueError, match=r"distance .* in row 1, column 2 must be finite"):
+            metrics.spectral_cluster(rho, 2)
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "projector 1 has a non-finite entry"),
+                                          (np.inf, "projector 1 has a non-finite entry"),
+                                          (1e308, "the mean of the projectors overflows")])
+def test_heterogeneity_rejects_a_non_finite_mean(bad, message):
+    P = [stiefel.projector(np.eye(4)[:, [i]]) for i in range(3)]
+    P[1][2, 3] = P[2][2, 3] = bad
+    with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
+        metrics.heterogeneity(P)
+
 
 class TestAdjustedRandIndex:
     def test_identical_partitions(self):
