@@ -120,12 +120,8 @@ def direct_sum_suite(trials=500, seed=0):
 
     def family(d, r1, r2, n):
         U = stiefel.random_frame(d, r1, rng)
-        P_v = []
-        for _ in range(n):
-            raw = rng.standard_normal((d, r2))
-            Vi = stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw))
-            P_v.append(Vi @ Vi.T)
-        return U @ U.T, P_v
+        return stiefel.projector(U), [
+            stiefel.projector(stiefel.random_frame(d, r2, rng, against=U)) for _ in range(n)]
 
     for _ in range(trials):
         d = int(rng.integers(4, 12))

@@ -29,20 +29,19 @@ def truth_projectors(truth, groups, d):
         raise DimensionError(f"{len(V)} true local frames for {n_clients} clients")
     stacks.require_shape(U, d, "true shared frame")
     true_groups, W = stacks.by_rank(V, d, "true local frame")
-    P_V = stacks.client_stack(true_groups, [Wg @ np.swapaxes(Wg, 1, 2) for Wg in W])
-    U = np.asarray(U, dtype=float)
+    P_V = stacks.client_stack(true_groups, [stiefel.projector(Wg) for Wg in W])
     grouped = stacks.by_group(groups, P_V)
-    return U @ U.T, grouped, [np.empty_like(P) for P in grouped]
+    return stiefel.projector(U), grouped, [np.empty_like(P) for P in grouped]
 
 
 def stacked_subspace_error(U, V, groups, projectors):
     """:func:`subspace_error` of ``U`` and the stacks ``V[g]`` of the clients ``groups[g]``,
     given :func:`truth_projectors` of the same groups; equal to it bitwise."""
     P_U, P_V, scratch = projectors
-    diff = U @ U.T - P_U
+    diff = stiefel.projector(U) - P_U
     local = []
     for Vg, P, D in zip(V, P_V, scratch):
-        np.matmul(Vg, np.swapaxes(Vg, 1, 2), out=D)
+        stiefel.projector(Vg, out=D)
         D -= P
         D *= D
         local.append(np.sum(D, axis=(1, 2)))
@@ -64,14 +63,20 @@ def rho_matrix(V_list):
 
     rho_ij = ||P_Vi - P_Vj||_F^2 / r2 for equal local ranks; pairs with
     unequal ranks are normalized by the larger rank. Symmetric, zero
-    diagonal, entries in [0, 2].
+    diagonal, entries in [0, 2]. :func:`stacks.by_rank` checks the frames against
+    the first one's ``d``; each row is one stacked difference of projectors.
     """
     n = len(V_list)
     rho = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            norm = max(V_list[i].shape[1], V_list[j].shape[1])
-            rho[i, j] = rho[j, i] = stiefel.subspace_distance(V_list[i], V_list[j]) / norm
+    if n == 0:
+        return rho
+    groups, frames = stacks.by_rank(V_list, np.shape(V_list[0])[0] if np.ndim(V_list[0]) else 0)
+    P = stacks.client_stack(groups, [stiefel.projector(F) for F in frames])
+    ranks = np.array([np.shape(F)[1] for F in V_list])
+    for i in range(n - 1):
+        diff = P[i] - P[i + 1:]
+        row = np.sum(diff * diff, axis=(1, 2)) / np.maximum(ranks[i], ranks[i + 1:])
+        rho[i, i + 1:] = rho[i + 1:, i] = row
     return rho
 
 
@@ -128,9 +133,9 @@ def spectral_cluster(rho, k, seed=0):
     given (rho, k, seed).
     """
     rho = np.asarray(rho, dtype=float)
-    n = rho.shape[0]
-    if rho.shape != (n, n):
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"distance matrix must be square, got {rho.shape}")
+    n = rho.shape[0]
     bad = np.argwhere(~((rho >= 0) & (rho < np.inf)))  # NaN fails both
     if bad.size:
         row, col = bad[0]
@@ -233,9 +238,13 @@ def arrowhead_min_eig(B, N):
 def heterogeneity(projectors):
     """The one rule for theta: max(0, 1 - lambda_max) of the mean of the local subspaces'
     ``(d, d)`` projectors, summed in client order. Zero when all the subspaces coincide;
-    1 - 1/N for N mutually orthogonal ones."""
+    1 - 1/N for N mutually orthogonal ones. Projectors must share one square shape."""
     if len(projectors) == 0:
         raise ValueError("need at least one local subspace")
+    d = np.shape(projectors[0])[0] if np.ndim(projectors[0]) else 0
+    for i, P in enumerate(projectors):
+        if np.shape(P) != (d, d):
+            raise DimensionError(f"projector {i} has shape {np.shape(P)}, expected ({d}, {d})")
     mean = sum(np.asarray(P, dtype=float) for P in projectors) / len(projectors)
     if not np.isfinite(mean).all():
         bad = [i for i, P in enumerate(projectors) if not np.isfinite(P).all()]

@@ -178,12 +178,8 @@ def init_distpca(covs, r1, r2_list, seed):
 def _init_distpca(covs, r1, r2_list, seed):
     # init_distpca's (U, V) for a checked stack and rank list
     U = baselines._distpca_global(covs, r1, r2_list)
-    V = []
-    for i, r2 in enumerate(r2_list):
-        raw = substream(seed, "init", i + 1).standard_normal((U.shape[0], r2))
-        deflated = raw - U @ (U.T @ raw)
-        V.append(stiefel.qr_retract(np.zeros_like(deflated), deflated))
-    return U, V
+    return U, [stiefel.random_frame(U.shape[0], r2, substream(seed, "init", i + 1), against=U)
+               for i, r2 in enumerate(r2_list)]
 
 
 def correction_step(V_half, U_next, retraction="polar"):

@@ -2,9 +2,9 @@
 
 A *frame* is a ``(d, r)`` ndarray ``U`` with ``U.T @ U = I`` up to
 ``ORTH_TOL``. Update directions ``xi`` are arbitrary ``(d, r)`` matrices.
-The projections and retractions also take a stack of frames, ``(N, d, r)``,
-and of updates, and treat each slice exactly as they treat a single frame.
-All functions are pure: inputs are never mutated.
+The projections, retractions and :func:`projector`, the package's one
+``F F^T``, treat each slice of a stack ``(N, d, r)`` exactly as a single
+frame; :func:`random_frame` is its one random frame. Inputs are never mutated.
 """
 
 import numpy as np
@@ -127,10 +127,10 @@ def qr_retract(U, xi):
 RETRACTIONS = {"polar": polar_retract, "qr": qr_retract}
 
 
-def projector(U):
-    """Orthogonal projector U U^T onto the column space of U."""
-    U = np.asarray(U, dtype=float)
-    return U @ U.T
+def projector(F, out=None):
+    """Projector F F^T onto col(F) of a frame, or of each slice of a stack, into ``out``."""
+    F = np.asarray(F, dtype=float)
+    return np.matmul(F, np.swapaxes(F, -1, -2), out=out)
 
 
 def subspace_distance(A, B):
@@ -146,15 +146,19 @@ def subspace_distance(A, B):
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
         raise DimensionError(f"frames need equal ambient dimension: {A.shape}, {B.shape}")
-    diff = A @ A.T - B @ B.T
+    diff = projector(A) - projector(B)
     return float(np.sum(diff * diff))
 
 
-def random_frame(d, r, rng):
-    """Haar-ish random frame: QR of a Gaussian matrix with positive R diagonal."""
+def random_frame(d, r, rng, against=None):
+    """Haar-ish random frame: QR of a Gaussian draw, R diagonal positive. A draw deflated
+    against the frame ``against`` can lose rank, so it goes through :func:`qr_retract`."""
     if not 1 <= r <= d:
         raise DimensionError(f"need 1 <= r <= d, got d={d}, r={r}")
-    return _qr_factor(rng.standard_normal((d, r)))[0]
+    raw = rng.standard_normal((d, r))
+    if against is None:
+        return _qr_factor(raw)[0]
+    return qr_retract(np.zeros_like(raw), raw - against @ (against.T @ raw))
 
 
 def orthonormalize(M):

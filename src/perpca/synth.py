@@ -90,7 +90,7 @@ class PlantedTruth:
 
 def theta_of(V_list):
     """:func:`metrics.heterogeneity` of the local frames' projectors."""
-    return metrics.heterogeneity([Vi @ Vi.T for Vi in V_list])
+    return metrics.heterogeneity([stiefel.projector(Vi) for Vi in V_list])
 
 
 def _raw_eigengap(spec):
@@ -126,11 +126,8 @@ def generate_components(spec):
     else:
         U = stiefel.random_frame(spec.d, spec.r1, rng)
         labels = list(spec.groups) if spec.groups is not None else list(range(spec.N))
-        frames = {}
-        for label in sorted(set(labels)):
-            raw = rng.standard_normal((spec.d, spec.r2))
-            deflated = raw - U @ (U.T @ raw)
-            frames[label] = stiefel.qr_retract(np.zeros_like(deflated), deflated)
+        frames = {label: stiefel.random_frame(spec.d, spec.r2, rng, against=U)
+                  for label in sorted(set(labels))}
         V = [frames[label] for label in labels]
     return PlantedTruth(
         U_true=U,

@@ -69,6 +69,17 @@ def subspace_error(state, truth):
     return err + float(np.mean(local))
 
 
+def rho_matrix(V_list):
+    # both projectors and one shape check per pair, normalized by the larger rank
+    n = len(V_list)
+    rho = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            norm = max(V_list[i].shape[1], V_list[j].shape[1])
+            rho[i, j] = rho[j, i] = subspace_distance(V_list[i], V_list[j]) / norm
+    return rho
+
+
 def _require_orthonormal(F, name):
     dev = np.max(np.abs(F.T @ F - np.eye(F.shape[1])))
     if not dev <= stiefel.ORTH_TOL:  # NaN fails too

@@ -18,11 +18,7 @@ def _rng(seed=0):
 
 def _feasible_family(d, r1, r2, n_clients, rng):
     U = stiefel.random_frame(d, r1, rng)
-    V = []
-    for _ in range(n_clients):
-        raw = rng.standard_normal((d, r2))
-        V.append(stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw)))
-    return U, V
+    return U, [stiefel.random_frame(d, r2, rng, against=U) for _ in range(n_clients)]
 
 
 class TestSubspaceError:
@@ -168,6 +164,28 @@ class TestRhoMatrix:
         rho = metrics.rho_matrix([V1, V2])
         assert rho[0, 1] == pytest.approx(stiefel.subspace_distance(V1, V2) / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 20, 100])
+    @pytest.mark.parametrize("ranks", [[2], [1, 3, 2, 3]])
+    def test_matches_per_pair_reference_bitwise(self, n, ranks):
+        # one projector stack per rank group and one stacked row of differences
+        # against both projectors of every pair; views keep their strides
+        rng = _rng(n)
+        V = [stiefel.random_frame(15, ranks[i % len(ranks)] + 1, rng)[:, 1:] for i in range(n)]
+        rho = metrics.rho_matrix(V)
+        assert rho.shape == (n, n)
+        assert rho.tobytes() == ref.rho_matrix(V).tobytes()
+
+    @pytest.mark.parametrize("bad, first_bad", [(np.zeros((6, 2, 1)), 0), (np.zeros(6), 0),
+                                                (np.zeros((7, 2)), 1)])
+    def test_bad_frame_is_named(self, bad, first_bad):
+        # frames are checked against the first frame's d: a 7-row frame first
+        # makes its 6-row successor the bad one
+        V = [stiefel.random_frame(6, 2, _rng(i)) for i in range(4)]
+        with pytest.raises(DimensionError, match=r"^local frame 2 "):
+            metrics.rho_matrix(V[:2] + [bad] + V[2:])
+        with pytest.raises(DimensionError, match=rf"^local frame {first_bad} "):
+            metrics.rho_matrix([bad] + V)
+
 
 class TestSpectralCluster:
     def _grouped_rho(self, groups, rng, spread=0.02, gap=1.5):
@@ -212,6 +230,11 @@ class TestSpectralCluster:
         with pytest.raises(ValueError):
             metrics.spectral_cluster(np.zeros((3, 3)), 4)
 
+    @pytest.mark.parametrize("rho", [np.zeros((3, 2)), 5.0, np.zeros(3), np.zeros((2, 2, 2))])
+    def test_distance_matrix_must_be_square(self, rho):
+        with pytest.raises(DimensionError, match="distance matrix must be square"):
+            metrics.spectral_cluster(rho, 1)
+
     @pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
     def test_bad_distance_named_by_row_and_column(self, bad):
         rho = 1.0 - np.eye(3)
@@ -228,6 +251,17 @@ def test_heterogeneity_rejects_a_non_finite_mean(bad, message):
     P[1][2, 3] = P[2][2, 3] = bad
     with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
         metrics.heterogeneity(P)
+
+
+@pytest.mark.parametrize("projectors, message", [
+    ([np.eye(3), np.eye(4)], r"^projector 1 has shape \(4, 4\), expected \(3, 3\)"),
+    ([np.eye(3), np.eye(3), np.eye(3)[:2]], r"^projector 2 has shape \(2, 3\)"),
+    ([np.eye(3)[:, :2], np.eye(3)], r"^projector 0 has shape \(3, 2\)"),
+    ([np.float64(1.0), np.eye(1)], r"^projector 0 has shape \(\)"),
+    ([np.eye(2), np.ones(2)], r"^projector 1 has shape \(2,\)")])
+def test_heterogeneity_rejects_projectors_of_another_shape(projectors, message):
+    with pytest.raises(DimensionError, match=message):
+        metrics.heterogeneity(projectors)
 
 
 class TestAdjustedRandIndex:

@@ -16,10 +16,7 @@ def _rng(seed=0):
 
 def _random_state(d, r1, r2, n_clients, rng):
     U = stiefel.random_frame(d, r1, rng)
-    V = []
-    for _ in range(n_clients):
-        raw = rng.standard_normal((d, r2))
-        V.append(stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw)))
+    V = [stiefel.random_frame(d, r2, rng, against=U) for _ in range(n_clients)]
     return model.ComponentState(U, V).validate()
 
 
@@ -245,10 +242,7 @@ class TestFusedDiagnostics:
     def test_matches_client_loops_bitwise(self, d, r1, r2):
         rng = _rng(14)
         U = stiefel.random_frame(d, r1, rng)
-        V = []
-        for r in r2:
-            raw = rng.standard_normal((d, r))
-            V.append(stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw)))
+        V = [stiefel.random_frame(d, r, rng, against=U) for r in r2]
         state = model.ComponentState(U, V)
         covs = [_random_cov(d, rng) * 10.0 ** (i % 5 - 2) for i in range(len(r2))]
         expected = ref.diagnostics(state, covs)
@@ -348,10 +342,8 @@ def _with_defect(state, defect, k):
 def test_stacked_validate_raises_what_the_client_loop_raises(r2, defect, k):
     rng = _rng(30)
     U = stiefel.random_frame(8, 2, rng)
-    V = []
-    for r in (r2 if isinstance(r2, list) else [r2] * 7):
-        raw = rng.standard_normal((8, r))
-        V.append(stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw)))
+    V = [stiefel.random_frame(8, r, rng, against=U)
+         for r in (r2 if isinstance(r2, list) else [r2] * 7)]
     good = model.ComponentState(U, V)
     assert good.validate() is good
     ref.validate(U, V)

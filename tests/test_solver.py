@@ -16,9 +16,7 @@ def _rng(seed=0):
 
 def _feasible_pair(d, r1, r2, rng):
     U = stiefel.random_frame(d, r1, rng)
-    raw = rng.standard_normal((d, r2))
-    V = stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw))
-    return U, V
+    return U, stiefel.random_frame(d, r2, rng, against=U)
 
 
 def _psd(d, rng, scale=1.0):

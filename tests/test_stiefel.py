@@ -230,6 +230,50 @@ class TestProjector:
         assert np.allclose(P, P.T, atol=1e-12)
         assert np.trace(P) == pytest.approx(4.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d, r", [(7, 3), (40, 1), (100, 5)])
+    def test_stack_matches_slices_bitwise(self, d, r):
+        rng = _rng(18)
+        stack = np.stack([stiefel.random_frame(d, r, rng) for _ in range(5)])
+        expected = [stiefel.projector(F).tobytes() for F in stack]
+        P = stiefel.projector(stack)
+        assert P.shape == (5, d, d)
+        assert [Pk.tobytes() for Pk in P] == expected
+        out = np.full((5, d, d), np.nan)
+        assert stiefel.projector(stack, out=out) is out
+        assert out.tobytes() == P.tobytes()
+
+
+class TestRandomFrame:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_against_equals_inline_draw_deflate_retract(self, seed):
+        rng = _rng(seed)
+        d = int(rng.integers(3, 30))
+        r1 = int(rng.integers(1, d - 1))
+        r2 = int(rng.integers(1, d - r1 + 1))
+        U = stiefel.random_frame(d, r1, rng)
+        raw = _rng(seed + 100).standard_normal((d, r2))
+        inline = stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw))
+        V = stiefel.random_frame(d, r2, _rng(seed + 100), against=U)
+        assert V.tobytes() == inline.tobytes()
+        assert np.max(np.abs(U.T @ V)) < 1e-10
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_plain_draw_equals_qr_retract_from_zero(self, seed):
+        # the plain draw skips qr_retract's checks, not its bits
+        raw = _rng(seed).standard_normal((9, 4))
+        expected = stiefel.qr_retract(np.zeros_like(raw), raw)
+        assert stiefel.random_frame(9, 4, _rng(seed)).tobytes() == expected.tobytes()
+
+    def test_no_room_beside_against_raises(self):
+        U = stiefel.random_frame(3, 2, _rng(19))
+        with pytest.raises(SingularityError, match="rank-deficient"):
+            stiefel.random_frame(3, 2, _rng(20), against=U)
+
+    @pytest.mark.parametrize("d, r", [(3, 0), (3, 4)])
+    def test_rank_out_of_range(self, d, r):
+        with pytest.raises(DimensionError, match="need 1 <= r <= d"):
+            stiefel.random_frame(d, r, _rng())
+
 
 class TestSubspaceDistance:
     def test_same_frame_zero(self):

@@ -214,8 +214,7 @@ class TestEigengap:
     def test_hand_value(self):
         rng = np.random.default_rng(4)
         U = stiefel.random_frame(5, 1, rng)
-        raw = rng.standard_normal((5, 1))
-        V = stiefel.qr_retract(np.zeros_like(raw), raw - U @ (U.T @ raw))
+        V = stiefel.random_frame(5, 1, rng, against=U)
         parts = [(3.0 * U @ U.T, 2.0 * V @ V.T)]
         assert eigengap_of(parts, 1, 1) == pytest.approx(2.0, abs=1e-10)
 
