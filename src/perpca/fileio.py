@@ -16,35 +16,27 @@ reconstruction error; ``synth`` receives nothing. ``eval`` loads
 and checks the components before it reads any data file, so when both
 are bad the component error is the one raised.
 
-The tasks run in forked worker processes, one file per task, when that
-can pay off: every file is CSV, there are at least two files, at least
-two CPUs are usable, the ``fork`` start method exists, the process has a
-single thread and is not a daemon, and the payload (float64 bytes
-written, file bytes read) is at least ``_FORK_MIN_BYTES``. Otherwise, and
-always for ``.mat64``, a serial loop runs the tasks one file at a time.
-Both paths write the same bytes and give the same bits, and raise the
-error the serial loop would have raised first. Workers inherit what they
-need by fork and pickle only their results back.
-
-Per-client work that stays in memory, such as drawing planted clients,
-runs through :func:`map_clients` on threads of this process instead. It
-reads the same count of usable CPUs as the fork path.
+When every file is CSV, the tasks run through :func:`parallel.ordered`
+with the ``"fork"`` backend: in forked worker processes, one file per
+task, when its gate lets them (the payload is the float64 bytes written
+or the file bytes read). Otherwise, and always for ``.mat64``, a serial
+loop runs the tasks one file at a time. Both paths write the same bytes
+and give the same bits, and raise the error the serial loop would have
+raised first.
 """
 
-import contextlib
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import re
-import threading
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import DimensionError
 from .solver import RoundTrace
 
@@ -53,13 +45,6 @@ _FMT = "%.17g"
 # rows per ``%`` call of the CSV writer: one call per matrix is no faster,
 # and its temporaries cost more memory than the file's own values
 _CSV_BLOCK_ROWS = 64
-
-# Forking and joining two workers costs 6-9 ms on a 2-vCPU host; 2 MiB is
-# about 0.13 s of serial CSV writing (2^18 values) or 50 ms of parsing.
-_FORK_MIN_BYTES = 2 << 20
-# Starting and joining a thread pool costs well under a millisecond; 1 MiB is
-# about 7 ms of serial planted draws (2^17 values) on a 2.1 GHz Xeon core.
-_THREAD_MIN_BYTES = 1 << 20
 
 
 def save_matrix(path, M, header=None):
@@ -133,114 +118,8 @@ def _format_of(path):
     return "bin" if Path(path).suffix == ".mat64" else "csv"
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
-def _worker_count(paths, payload_bytes):
-    """Forked workers for one file each of ``paths``; 0 means the serial loop."""
-    if (len(paths) < 2 or any(_format_of(p) != "csv" for p in paths)
-            or payload_bytes < _FORK_MIN_BYTES
-            or "fork" not in multiprocessing.get_all_start_methods()
-            # forking beside another thread can copy a lock that thread holds;
-            # a daemonic process may not have children
-            or threading.active_count() > 1 or multiprocessing.current_process().daemon):
-        return 0
-    workers = min(len(paths), _usable_cpus())
-    return workers if workers > 1 else 0
-
-
-def _serve(conn, task, indices):
-    """Worker body: ``task(i)`` for each index, one reply each, in order.
-
-    A reply is ``(True, result)`` for a task that returned and ``(False,
-    exception)`` for one that raised; the worker stops after the first
-    exception.
-    """
-    for i in indices:
-        try:
-            conn.send((True, task(i)))
-        except Exception as exc:
-            conn.send((False, exc))
-            return
-
-
-def _reply(conn, path):
-    """A worker's result for ``path``.
-
-    Re-raises the worker's exception; a worker that exited without
-    replying raises RuntimeError naming ``path``.
-    """
-    try:
-        ok, value = conn.recv()
-    except EOFError:
-        raise RuntimeError(f"{path}: worker process exited without replying") from None
-    if not ok:
-        raise value
-    return value
-
-
-@contextlib.contextmanager
-def _each_file(task, paths, payload_bytes):
-    """Yield the results of ``task(i)`` for every file, in file order.
-
-    Runs the serial loop, or forks workers when :func:`_worker_count` says
-    so; worker ``w`` of ``W`` then takes files ``w, w + W, ...``. Workers
-    inherit ``task`` and its data by fork, so nothing is pickled on the way
-    in. On exit every worker is terminated and joined, whether the caller
-    finished or raised.
-    """
-    workers = _worker_count(paths, payload_bytes)
-    if not workers:
-        yield (task(i) for i in range(len(paths)))
-        return
-    ctx = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    try:
-        for w in range(workers):
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            conns.append(recv_end)
-            proc = ctx.Process(target=_serve, args=(send_end, task, range(w, len(paths), workers)))
-            proc.start()
-            procs.append(proc)
-            # with the worker's copy the only one open, its exit reads as EOF
-            send_end.close()
-        yield (_reply(conns[i % workers], path) for i, path in enumerate(paths))
-    finally:
-        for proc in procs:  # a worker that sent its last reply has nothing left to do
-            proc.terminate()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
-
-
-def map_clients(task, count, payload_bytes):
-    """``[task(i) for i in range(count)]``, on threads when that can pay off.
-
-    Threads run when there are at least two tasks, at least two CPUs are
-    usable and ``payload_bytes``, the float64 bytes the tasks make, is at
-    least ``_THREAD_MIN_BYTES``; there are ``min(count, usable CPUs)`` of
-    them. Otherwise the loop runs in this thread. The results come in task
-    order, a task that raises is re-raised for the lowest index that
-    raised, as the loop would raise it, and every thread is joined before
-    this returns. A task gains only while it runs outside the interpreter
-    lock, as numpy's random draws, BLAS and ufuncs on large arrays do.
-    """
-    # perfbench's tracer assumes one thread, so a task should call no function it
-    # wraps (tracer.WRAPPED): its spans would interleave. bench._drive's task calls
-    # model.covariance, which is wrapped; no workload traces bench.
-    threads = min(count, _usable_cpus()) if payload_bytes >= _THREAD_MIN_BYTES else 1
-    if threads < 2:
-        return [task(i) for i in range(count)]
-    # imported on first use: it loads logging (0.4 MB), which the file commands never need
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(threads) as pool:
-        return list(pool.map(task, range(count)))
+def _fork_if_csv(paths):  # CSV text holds the interpreter lock, so threads would not help
+    return "fork" if all(_format_of(p) == "csv" for p in paths) else None
 
 
 def write_clients(out_dir, draw, shapes, fmt="csv", header=False):
@@ -260,7 +139,7 @@ def write_clients(out_dir, draw, shapes, fmt="csv", header=False):
         save_matrix(paths[i], Y.T, cols)
 
     payload = 8 * sum(d * n for d, n in shapes)
-    with _each_file(save, paths, payload) as saved:
+    with parallel.ordered(save, paths, payload, _fork_if_csv(paths)) as saved:
         for _ in saved:
             pass
     return paths
@@ -318,7 +197,7 @@ def read_clients(paths, reduce, header=False, center=False, digest=False):
         return sha, Y.shape, reduce(i, Y)
 
     replies = []
-    with _each_file(task, paths, _file_bytes(paths)) as results:
+    with parallel.ordered(task, paths, _file_bytes(paths), _fork_if_csv(paths)) as results:
         for path, reply in zip(paths, results):
             d = reply[1][0]
             if replies and d != replies[0][1][0]:

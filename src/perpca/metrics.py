@@ -238,13 +238,14 @@ def arrowhead_min_eig(B, N):
 def heterogeneity(projectors):
     """The one rule for theta: max(0, 1 - lambda_max) of the mean of the local subspaces'
     ``(d, d)`` projectors, summed in client order. Zero when all the subspaces coincide;
-    1 - 1/N for N mutually orthogonal ones. Projectors must share one square shape."""
+    1 - 1/N for N mutually orthogonal ones. Projectors must share one nonempty square shape."""
     if len(projectors) == 0:
         raise ValueError("need at least one local subspace")
     d = np.shape(projectors[0])[0] if np.ndim(projectors[0]) else 0
     for i, P in enumerate(projectors):
-        if np.shape(P) != (d, d):
-            raise DimensionError(f"projector {i} has shape {np.shape(P)}, expected ({d}, {d})")
+        if d < 1 or np.shape(P) != (d, d):
+            raise DimensionError(f"projector {i} has shape {np.shape(P)}, expected "
+                                 + (f"({d}, {d})" if d else "(d, d) with d >= 1"))
     mean = sum(np.asarray(P, dtype=float) for P in projectors) / len(projectors)
     if not np.isfinite(mean).all():
         bad = [i for i, P in enumerate(projectors) if not np.isfinite(P).all()]

@@ -139,22 +139,28 @@ def subspace_distance(A, B):
     Equals rank(A) + rank(B) - 2 ||A^T B||_F^2, but is computed from the
     explicit projector difference, which stays accurate down to ~1e-30 for
     nearly equal subspaces where the Gram identity cancels catastrophically.
-    Zero iff col(A) = col(B). Both inputs must be orthonormal frames with
-    the same number of rows.
+    Zero iff col(A) = col(B). Both inputs must be orthonormal frames, and
+    :func:`stacks.require_shape` checks both against A's row count.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[0] != B.shape[0]:
-        raise DimensionError(f"frames need equal ambient dimension: {A.shape}, {B.shape}")
+    d = A.shape[0] if A.ndim else 0
+    stacks.require_shape(A, d, "frame A")
+    stacks.require_shape(B, d, "frame B")
     diff = projector(A) - projector(B)
     return float(np.sum(diff * diff))
 
 
 def random_frame(d, r, rng, against=None):
     """Haar-ish random frame: QR of a Gaussian draw, R diagonal positive. A draw deflated
-    against the frame ``against`` can lose rank, so it goes through :func:`qr_retract`."""
+    against the ``(d, k)`` frame ``against`` needs ``r + k <= d`` and can still lose
+    rank, so it goes through :func:`qr_retract`."""
     if not 1 <= r <= d:
         raise DimensionError(f"need 1 <= r <= d, got d={d}, r={r}")
+    if against is not None and (np.ndim(against) != 2 or np.shape(against)[0] != d
+                                or r + np.shape(against)[1] > d):
+        raise DimensionError(f"no room for d={d}, r={r} beside a frame of shape "
+                             f"{np.shape(against)}: need ({d}, k) with r + k <= {d}")
     raw = rng.standard_normal((d, r))
     if against is None:
         return _qr_factor(raw)[0]

@@ -12,11 +12,11 @@ shared/local split identifiable.
 
 Each client draws from its own substreams of the seed, so the clients'
 draws are independent of each other and of the order they run in.
-:func:`generate_observations` runs them through :func:`fileio.map_clients`:
-on ``min(N, usable CPUs)`` threads when the draw is at least
-``fileio._THREAD_MIN_BYTES`` of float64 values, serially below it, with the
-results in client order and the same bits either way. BLAS thread settings
-such as ``OPENBLAS_NUM_THREADS`` do not limit these threads.
+:func:`generate_observations` runs them on threads of
+:func:`parallel.ordered` from ``parallel.MIN_BYTES["thread"]`` of float64
+draws, serially below it, in client order and with the same bits either
+way. BLAS thread settings such as ``OPENBLAS_NUM_THREADS`` do not limit
+these threads.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from . import fileio, metrics, model, stiefel
+from . import metrics, model, parallel, stiefel
 from .rng import substream
 
 SCORE_DISTS = ("gaussian", "rademacher")
@@ -177,10 +177,12 @@ def generate_observations(truth, spec, test_split=0, reduce=None):
     or ``reduce(i, Y)`` of client i's array ``Y`` when ``reduce`` is given.
 
     A reduced client's array is dropped once it is reduced, so at most one
-    per thread is held. Clients run through :func:`fileio.map_clients`.
+    per thread is held. Clients run through :func:`parallel.ordered`.
     """
     def task(i):
         Y = client_observations(truth, spec, i, test_split)
         return Y if reduce is None else reduce(i, Y)
 
-    return fileio.map_clients(task, spec.N, 8 * spec.d * sum(spec.n_per_client))
+    payload = 8 * spec.d * sum(spec.n_per_client)
+    with parallel.ordered(task, range(spec.N), payload, "thread") as results:
+        return list(results)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from perpca import bench, fileio, model
+from forcing import each_mode
+from perpca import bench, model
 
 
 def test_scenario_registry():
@@ -127,11 +128,8 @@ _SMALL = {"error-vs-n": dict(ns=(100, 300), n_clients=10, rounds=40),
 
 
 @pytest.mark.parametrize("scenario", sorted(bench.SCENARIOS))
-def test_rows_equal_with_clients_drawn_on_threads(scenario, monkeypatch):
+def test_rows_equal_with_clients_drawn_on_threads(scenario):
     # the serial loop against three threads at any size, even on one CPU
-    rows = []
-    for min_bytes, cpus in ((1 << 62, 1), (0, 3)):
-        monkeypatch.setattr(fileio, "_THREAD_MIN_BYTES", min_bytes)
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda n=cpus: n)
-        rows.append(bench.SCENARIOS[scenario](repeats=2, **_SMALL[scenario]))
-    assert rows[0] == rows[1]
+    serial, threaded = each_mode(lambda mode: bench.SCENARIOS[scenario](repeats=2,
+                                                                        **_SMALL[scenario]))
+    assert serial == threaded

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from forcing import force
 from perpca import bench, checks, cli, fileio, model, solver, stiefel, synth
 from perpca.errors import DimensionError, InvariantError
 
@@ -269,7 +270,7 @@ class TestBaselineEvalCluster:
         run("synth", "--d", 6, "--N", 9, "--r1", 1, "--r2", 1, "--n", 40, "--seed", 3,
             "--out", data)
         run("fit", data, "--r1", 1, "--r2", 1, "--rounds", 5, "--out", fit_out)
-        monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", 1 << 62)  # every call in this process
+        force(monkeypatch, "serial")  # every call in this process
         calls = []
         validate = model.ComponentState.validate
         monkeypatch.setattr(model.ComponentState, "validate",

@@ -9,8 +9,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
-import time
 import weakref
 from pathlib import Path
 
@@ -20,7 +18,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from perpca import cli, fileio, synth
+from forcing import MODES, deadline, each_mode, force  # noqa: F401 (deadline is a fixture)
+from perpca import cli, fileio, parallel, synth
 from perpca.errors import DimensionError
 from perpca.solver import RoundTrace
 
@@ -218,29 +217,6 @@ def test_manifest_refuses_a_non_finite_number(tmp_path):
     assert not (tmp_path / "manifest.json").exists()
 
 
-@pytest.fixture()
-def deadline():
-    """Fail a forked read or write that hangs; afterwards no worker may be left."""
-    previous = signal.signal(signal.SIGALRM, _hung)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
-
-
-@pytest.fixture()
-def parallel(monkeypatch):
-    """Forked reads and writes at any size, with three workers even on one CPU."""
-    monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", 0)
-    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 3)
-    assert fileio._worker_count(["c.csv"] * 5, 0) == 3
-
-
-def _hung(signum, frame):
-    raise TimeoutError("a forked read or write did not return within 60 s")
-
-
 def _clients(n=5, d=4):
     rng = _rng()
     return [rng.standard_normal((d, 3 + 7 * i)) * np.logspace(-9, 9, d)[:, None]
@@ -255,116 +231,87 @@ def _identity(i, Y):
     return Y
 
 
-def _both(tmp_path, monkeypatch, fn):
-    """``fn(directory)`` once serially and once in forked workers."""
-    results = []
-    for name, min_bytes, cpus in (("serial", 1 << 62, 1), ("parallel", 0, 3)):
-        monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", min_bytes)
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
-        results.append(fn(tmp_path / name))
-    return results
-
-
 @pytest.mark.usefixtures("deadline")
 class TestParallelFiles:
-    def test_worker_count(self, monkeypatch):
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
-        big = fileio._FORK_MIN_BYTES
-        assert fileio._worker_count(["c.csv"] * 20, big) == 2
-        assert fileio._worker_count(["c.csv"] * 20, big - 1) == 0
-        assert fileio._worker_count(["c.csv"], big) == 0
-        assert fileio._worker_count(["c.mat64"] * 20, big) == 0
-        assert fileio._worker_count(["c.csv", "c.mat64"], big) == 0
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 1)
-        assert fileio._worker_count(["c.csv"] * 20, big) == 0
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            assert fileio._worker_count(["c.csv"] * 20, big) == 0
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-
     def test_mat64_files_above_the_fork_threshold_stay_serial(self, tmp_path, monkeypatch):
         # the format comes from each path: three usable CPUs and a large payload
         # still give the serial loop for .mat64 files
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 3)
 
         def no_fork(process):
             raise AssertionError(f"started {process.name} for .mat64 files")
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
         Ys = [np.full((8, 11000), float(i)) + np.arange(11000) for i in range(3)]
-        assert 8 * sum(Y.size for Y in Ys) > fileio._FORK_MIN_BYTES
+        assert 8 * sum(Y.size for Y in Ys) > parallel.MIN_BYTES["fork"]
         paths = _write(tmp_path, Ys, fmt="bin")
         assert [p.name for p in paths] == [f"client_{i}.mat64" for i in range(3)]
         back = [Y for _, _, Y in fileio.read_clients(paths, _identity)]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(back, Ys, strict=True))
 
     @pytest.mark.parametrize("header", [False, True])
-    def test_writes_match_serial_bytes(self, tmp_path, monkeypatch, header):
+    def test_writes_match_serial_bytes(self, tmp_path, header):
         Ys = _clients()
 
         def write(out):
             paths = _write(out, Ys, header=header)
             return [(p.name, p.read_bytes()) for p in paths]
 
-        serial_files, parallel_files = _both(tmp_path, monkeypatch, write)
+        serial_files, parallel_files = each_mode(lambda mode: write(tmp_path / mode))
         assert len(serial_files) == 5
         assert serial_files == parallel_files
 
     @pytest.mark.parametrize("center", [False, True])
-    def test_reads_match_serial_bits(self, tmp_path, monkeypatch, center):
+    def test_reads_match_serial_bits(self, tmp_path, center):
         _write(tmp_path / "data", _clients(), header=True)
         paths = fileio.resolve_data_paths([tmp_path / "data"])
 
-        def read(_):
+        def read(mode):
             return [Y for _, _, Y in fileio.read_clients(paths, _identity, header=True,
                                                          center=center)]
 
-        serial_ys, parallel_ys = _both(tmp_path, monkeypatch, read)
+        serial_ys, parallel_ys = each_mode(read)
         for a, b in zip(serial_ys, parallel_ys, strict=True):
             assert a.shape == b.shape and a.strides == b.strides
             assert a.tobytes() == b.tobytes()
 
-    def test_save_returns_paths_in_client_order(self, tmp_path, parallel):
+    def test_save_returns_paths_in_client_order(self, tmp_path, monkeypatch):
+        force(monkeypatch, "parallel")
         paths = _write(tmp_path, _clients())
         assert [p.name for p in paths] == [f"client_{i}.csv" for i in range(5)]
 
-    def _errors(self, tmp_path, monkeypatch, paths):
-        def read(_):
+    def _errors(self, paths):
+        def read(mode):
             with pytest.raises(ValueError) as info:
                 fileio.read_clients(paths, _identity)
             return info.value
 
-        return _both(tmp_path, monkeypatch, read)
+        return each_mode(read)
 
-    def test_non_finite_cell_raises_serial_error(self, tmp_path, monkeypatch):
+    def test_non_finite_cell_raises_serial_error(self, tmp_path):
         paths = _write(tmp_path, _clients())
         lines = paths[3].read_text().splitlines()
         lines[2] = "nan" + lines[2][lines[2].index(","):]
         paths[3].write_text("\n".join(lines) + "\n")
-        serial_exc, parallel_exc = self._errors(tmp_path, monkeypatch, paths)
+        serial_exc, parallel_exc = self._errors(paths)
         assert type(parallel_exc) is type(serial_exc) is ValueError
         assert str(parallel_exc) == str(serial_exc)
         assert str(paths[3]) in str(serial_exc) and "row 2, column 0" in str(serial_exc)
 
-    def test_dimension_error_ahead_of_broken_file(self, tmp_path, monkeypatch):
+    def test_dimension_error_ahead_of_broken_file(self, tmp_path):
         # files larger than a pipe buffer leave the workers of the unread files
         # blocked in a send, which only terminating them ends
         Ys = [np.full((3, 5000), float(i)) for i in range(5)]
         paths = _write(tmp_path, Ys)
         fileio.save_matrix(paths[1], np.ones((6, 4)))
         paths[3].write_text("1.0,oops,2.0\n")
-        serial_exc, parallel_exc = self._errors(tmp_path, monkeypatch, paths)
+        serial_exc, parallel_exc = self._errors(paths)
         assert type(parallel_exc) is type(serial_exc) is DimensionError
         assert str(parallel_exc) == str(serial_exc)
         assert str(serial_exc).startswith(f"{paths[1]}: 4 features")
 
-    def test_killed_read_worker_raises(self, tmp_path, monkeypatch, parallel):
+    def test_killed_read_worker_raises(self, tmp_path, monkeypatch):
+        force(monkeypatch, "parallel")
         paths = _write(tmp_path, _clients())
         load = fileio.load_matrix
 
@@ -377,7 +324,8 @@ class TestParallelFiles:
         with pytest.raises(RuntimeError, match=r"client_2\.csv: worker process exited"):
             fileio.read_clients(paths, _identity)
 
-    def test_killed_write_worker_raises(self, tmp_path, monkeypatch, parallel):
+    def test_killed_write_worker_raises(self, tmp_path, monkeypatch):
+        force(monkeypatch, "parallel")
         save = fileio.save_matrix
 
         def killed_on_client_4(path, *args):
@@ -389,7 +337,8 @@ class TestParallelFiles:
         with pytest.raises(RuntimeError, match=r"client_4\.csv: worker process exited"):
             _write(tmp_path, _clients())
 
-    def test_write_error_names_first_failing_file(self, tmp_path, parallel):
+    def test_write_error_names_first_failing_file(self, tmp_path, monkeypatch):
+        force(monkeypatch, "parallel")
         out = tmp_path / "data"
         out.mkdir()
         (out / "client_2.csv").mkdir()  # a directory cannot be opened for writing
@@ -397,7 +346,7 @@ class TestParallelFiles:
         with pytest.raises(IsADirectoryError, match=r"client_2\.csv"):
             _write(out, _clients())
 
-    def test_cli_pipeline_matches_serial(self, tmp_path, monkeypatch):
+    def test_cli_pipeline_matches_serial(self, tmp_path):
         def pipeline(out):
             data, fit = out / "data", out / "fit"
             argv = [["synth", "--d", "6", "--N", "3", "--r1", "1", "--r2", "1", "--n", "80",
@@ -412,64 +361,9 @@ class TestParallelFiles:
                     for p in sorted(out.rglob("*"))
                     if p.is_file() and p.name != "manifest.json"}
 
-        serial_out, parallel_out = _both(tmp_path, monkeypatch, pipeline)
+        serial_out, parallel_out = each_mode(lambda mode: pipeline(tmp_path / mode))
         assert "data/client_2.csv" in serial_out and "fit/trace.csv" in serial_out
         assert serial_out == parallel_out
-
-
-class TestClientThreads:
-    @pytest.mark.parametrize("count, cpus, payload, threaded", [
-        (4, 2, fileio._THREAD_MIN_BYTES, True),
-        (4, 3, 1 << 30, True),
-        (4, 2, fileio._THREAD_MIN_BYTES - 1, False),
-        (1, 2, 1 << 30, False),
-        (4, 1, 1 << 30, False),
-    ])
-    def test_threads_only_when_they_pay(self, monkeypatch, count, cpus, payload, threaded):
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
-        results = fileio.map_clients(lambda i: (i, threading.get_ident()), count, payload)
-        assert [i for i, _ in results] == list(range(count))
-        assert {ident != threading.get_ident() for _, ident in results} == {threaded}
-
-    def test_a_raising_task_is_raised_for_the_lowest_client(self, monkeypatch):
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 3)
-        before = threading.active_count()
-
-        def task(i):
-            if i == 2:
-                time.sleep(0.05)  # client 5 raises first
-            if i in (2, 5):
-                raise ValueError(f"client {i} failed")
-            return i
-
-        with pytest.raises(ValueError, match="client 2 failed"):
-            fileio.map_clients(task, 8, fileio._THREAD_MIN_BYTES)
-        assert threading.active_count() == before
-
-    @pytest.mark.usefixtures("deadline")
-    def test_write_clients_forks_right_after_a_threaded_draw(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fileio, "_THREAD_MIN_BYTES", 0)
-        monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", 0)
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 3)
-        drawn_on, draw = set(), synth.client_observations
-        monkeypatch.setattr(synth, "client_observations",
-                            lambda *args: drawn_on.add(threading.get_ident()) or draw(*args))
-        before = threading.active_count()
-        spec = synth.GenerativeSpec(d=6, N=3, r1=1, r2=1, n_per_client=80, noise_std=0.2)
-        Ys = synth.generate_observations(synth.generate_components(spec), spec)
-        assert drawn_on and threading.get_ident() not in drawn_on
-        assert threading.active_count() == before
-        workers, count = [], fileio._worker_count
-        monkeypatch.setattr(fileio, "_worker_count",
-                            lambda *args: workers.append(count(*args)) or workers[-1])
-        _write(tmp_path, Ys)
-        assert workers == [3]
-
-
-def _forced(monkeypatch, mode):
-    """Client files through the serial loop, or through three forked workers even on one CPU."""
-    monkeypatch.setattr(fileio, "_FORK_MIN_BYTES", 1 << 62 if mode == "serial" else 0)
-    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 1 if mode == "serial" else 3)
 
 
 @pytest.fixture()
@@ -517,7 +411,7 @@ class TestStreamedCommands:
         (("value", "features"), ValueError, "{1}: non-finite value nan in row 2, column 0"),
     ], ids=["value", "features", "features-then-value", "value-then-features"])
     @pytest.mark.parametrize("command", _READERS)
-    @pytest.mark.parametrize("mode", ["serial", "forked"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_bad_file_raises_the_first_error_in_file_order(self, fitted, tmp_path, monkeypatch,
                                                            mode, command, defects, kind,
                                                            message):
@@ -525,12 +419,12 @@ class TestStreamedCommands:
         for path, defect in zip(paths[1:], defects):
             if defect:
                 _break(path, defect)
-        _forced(monkeypatch, mode)
+        force(monkeypatch, mode)
         with pytest.raises(kind, match=f"^{re.escape(message.format(*paths))}$") as exc:
             cli.main(_command(command, paths, fit, tmp_path / "out"))
         assert type(exc.value) is kind
 
-    @pytest.mark.parametrize("mode", ["serial", "forked"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_eval_names_the_file_whose_features_disagree_with_the_components(
             self, fitted, tmp_path, monkeypatch, mode):
         _, fit = fitted  # d=6
@@ -538,7 +432,7 @@ class TestStreamedCommands:
         assert cli.main([str(a) for a in ["synth", "--d", "7", "--N", "3", "--r1", "1", "--r2",
                                           "1", "--n", "80", "--out", wide]]) == 0
         paths = fileio.resolve_data_paths([wide])
-        _forced(monkeypatch, mode)
+        force(monkeypatch, mode)
         message = f"{paths[0]}: data (7, 80) and frame (6, 1) disagree on d"
         with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
             cli.main(_command("eval", paths, fit, tmp_path / "out"))
@@ -554,24 +448,24 @@ class TestStreamedCommands:
             return load(path, **kwargs)
 
         monkeypatch.setattr(fileio, "load_matrix", killed_on_client_1)
-        _forced(monkeypatch, "forked")
+        force(monkeypatch, "parallel")
         with pytest.raises(RuntimeError,
                            match=f"^{re.escape(str(paths[1]))}: worker process exited"):
             cli.main(_command(command, paths, fit, tmp_path / "out"))
 
     @pytest.mark.parametrize("command", [c for c in _READERS if c != "eval"])
-    @pytest.mark.parametrize("mode", ["serial", "forked"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_manifest_digests_are_the_inputs(self, fitted, tmp_path, monkeypatch, mode,
                                              command):
         paths, fit = fitted
-        _forced(monkeypatch, mode)
+        force(monkeypatch, mode)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(_command(command, paths, fit, tmp_path / "out")) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["input_digests"] == {str(p): fileio.file_digest(p) for p in paths}
 
     @pytest.mark.parametrize("command", ("synth",) + _READERS)
-    @pytest.mark.parametrize("mode", ["serial", "forked"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_parent_holds_at_most_one_client_array(self, fitted, tmp_path, monkeypatch, mode,
                                                    command):
         # serially, each client's array is gone before the next one is made; forked,
@@ -592,7 +486,7 @@ class TestStreamedCommands:
         monkeypatch.setattr(fileio, "load_matrix", one_at_a_time(
             fileio.load_matrix, lambda path: Path(path).name.startswith("client_")))
         monkeypatch.setattr(synth, "client_observations", one_at_a_time(synth.client_observations))
-        _forced(monkeypatch, mode)
+        force(monkeypatch, mode)
         argv = (["synth", "--d", "6", "--N", "3", "--r1", "1", "--r2", "1", "--n", "80",
                  "--out", str(tmp_path / "out")] if command == "synth"
                 else _command(command, paths, fit, tmp_path / "out"))
@@ -689,25 +583,17 @@ def _pipeline_outputs(out, fmt, header, center):
     return files
 
 
-def _modes_differ(root):
+def _compare_pipelines(root):
     """``(files compared, files that differ)`` between the serial loop and forked workers,
     over both formats, with and without ``--header`` and ``--center``."""
-    saved = fileio._FORK_MIN_BYTES, fileio._usable_cpus
     compared, differ = 0, []
-    try:
-        for fmt, header, center in itertools.product(("csv", "bin"), (False, True),
-                                                     (False, True)):
-            outputs = []
-            for mode, min_bytes, cpus in (("serial", 1 << 62, 1), ("forked", 0, 3)):
-                fileio._FORK_MIN_BYTES, fileio._usable_cpus = min_bytes, lambda n=cpus: n
-                outputs.append(_pipeline_outputs(root / f"{fmt}-{header}-{center}-{mode}",
-                                                 fmt, header, center))
-            serial, forked = outputs
-            compared += len(serial)
-            differ += [f"{fmt}-{header}-{center}/{name}" for name in sorted(serial | forked)
-                       if serial.get(name) != forked.get(name)]
-    finally:
-        fileio._FORK_MIN_BYTES, fileio._usable_cpus = saved
+    for fmt, header, center in itertools.product(("csv", "bin"), (False, True), (False, True)):
+        case = f"{fmt}-{header}-{center}"
+        serial, forked = each_mode(lambda mode: _pipeline_outputs(root / f"{case}-{mode}", fmt,
+                                                                  header, center))
+        compared += len(serial)
+        differ += [f"{case}/{name}" for name in sorted(serial | forked)
+                   if serial.get(name) != forked.get(name)]
     return compared, differ
 
 
@@ -734,6 +620,6 @@ def json_in_interpreter(code, blas):
 @pytest.mark.parametrize("blas", ["pinned", "unpinned"])
 def test_every_command_writes_the_same_bytes_serial_and_forked(tmp_path, blas):
     code = ("import json, pathlib, test_fileio; "
-            f"print(json.dumps(test_fileio._modes_differ(pathlib.Path({str(tmp_path)!r}))))")
+            f"print(json.dumps(test_fileio._compare_pipelines(pathlib.Path({str(tmp_path)!r}))))")
     compared, differ = json_in_interpreter(code, blas)
     assert compared == 8 * 26 and differ == []  # 26 files per pipeline

@@ -258,7 +258,9 @@ def test_heterogeneity_rejects_a_non_finite_mean(bad, message):
     ([np.eye(3), np.eye(3), np.eye(3)[:2]], r"^projector 2 has shape \(2, 3\)"),
     ([np.eye(3)[:, :2], np.eye(3)], r"^projector 0 has shape \(3, 2\)"),
     ([np.float64(1.0), np.eye(1)], r"^projector 0 has shape \(\)"),
-    ([np.eye(2), np.ones(2)], r"^projector 1 has shape \(2,\)")])
+    ([np.eye(2), np.ones(2)], r"^projector 1 has shape \(2,\)"),
+    ([np.zeros((0, 0))], r"^projector 0 has shape \(0, 0\), expected \(d, d\) with d >= 1$"),
+    ([np.zeros((0, 0)), np.eye(2)], r"^projector 0 has shape \(0, 0\)")])
 def test_heterogeneity_rejects_projectors_of_another_shape(projectors, message):
     with pytest.raises(DimensionError, match=message):
         metrics.heterogeneity(projectors)

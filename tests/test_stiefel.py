@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,10 +266,19 @@ class TestRandomFrame:
         expected = stiefel.qr_retract(np.zeros_like(raw), raw)
         assert stiefel.random_frame(9, 4, _rng(seed)).tobytes() == expected.tobytes()
 
-    def test_no_room_beside_against_raises(self):
-        U = stiefel.random_frame(3, 2, _rng(19))
-        with pytest.raises(SingularityError, match="rank-deficient"):
-            stiefel.random_frame(3, 2, _rng(20), against=U)
+    @pytest.mark.parametrize("d, r, shape", [
+        (3, 2, (3, 2)),  # no room: r + k > d
+        (5, 4, (5, 2)),
+        (3, 1, (4, 1)),  # another d
+        (3, 1, (3,)),
+        (3, 1, (2, 3, 1)),
+    ])
+    def test_against_of_another_shape_or_without_room_raises(self, d, r, shape):
+        against = np.zeros(shape)
+        message = (f"^no room for d={d}, r={r} beside a frame of shape {re.escape(str(shape))}: "
+                   f"need \\({d}, k\\) with r \\+ k <= {d}$")
+        with pytest.raises(DimensionError, match=message):
+            stiefel.random_frame(d, r, _rng(20), against=against)
 
     @pytest.mark.parametrize("d, r", [(3, 0), (3, 4)])
     def test_rank_out_of_range(self, d, r):
@@ -305,10 +316,23 @@ class TestSubspaceDistance:
         )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"^frame B has shape \(4, 1\), expected \(3,"):
             stiefel.subspace_distance(np.eye(3)[:, :1], np.eye(4)[:, :1])
-        with pytest.raises(DimensionError):  # frames only; stacks go through metrics
+        # frames only; stacks go through metrics
+        with pytest.raises(DimensionError, match="^frame A"):
             stiefel.subspace_distance(np.zeros((2, 4, 1)), np.zeros((2, 4, 1)))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (3, 4)])
+    @pytest.mark.parametrize("bad", ["A", "B", "both"])
+    def test_rank_out_of_range_is_named(self, shape, bad):
+        # rank 0 and more columns than rows used to measure as 0.0
+        good = np.eye(3)[:, :1]
+        A = np.zeros(shape) if bad in ("A", "both") else good
+        B = np.zeros(shape) if bad in ("B", "both") else good
+        name = "B" if bad == "B" else "A"
+        with pytest.raises(DimensionError, match=f"^frame {name} has shape "
+                                                 f"{re.escape(str(shape))}, expected \\(3, r\\)$"):
+            stiefel.subspace_distance(A, B)
 
 
 def test_column_space_preservation_sweep():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forcing import each_mode
 from test_fileio import json_in_interpreter
-from perpca import fileio, stiefel, synth
+from perpca import parallel, stiefel, synth
 from perpca.model import ComponentState, covariance
 
 
@@ -243,50 +244,44 @@ def _draw_cases():
             "groups": dict(mixed, groups=[0, 1, 0, 1, 1], noise_std=0.5),
             "theta": dict(d=3, N=2, r1=1, r2=1, n_per_client=500, local_score_std=1.0,
                           theta_target=0.2),
-            # 1.15 MB, above fileio._THREAD_MIN_BYTES
+            # 1.15 MB, above parallel.MIN_BYTES["thread"]
             "above-threshold": dict(d=15, N=8, r1=2, r2=3, n_per_client=1200,
                                     noise_std=7.0, seed=1)}
 
 
-def _draw_modes_differ():
+def _compare_draws():
     """``(draws compared, draws made off the calling thread, draws that differ)`` between
     the serial loop and three threads, at any size and even on one CPU.
 
     Every case of :func:`_draw_cases` is drawn at ``test_split`` 0 and 1, as
     arrays and reduced to covariances.
     """
-    saved = fileio._THREAD_MIN_BYTES, fileio._usable_cpus, synth.client_observations
-    off_main = []
+    off_main, draw = [], synth.client_observations
 
     def spy(*args):
         off_main.append(threading.get_ident() != threading.main_thread().ident)
-        return saved[2](*args)
+        return draw(*args)
 
     compared, differ = 0, []
-    synth.client_observations = spy
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synth, "client_observations", spy)
         for name, fields in _draw_cases().items():
             spec = synth.GenerativeSpec(**fields)
             truth = synth.generate_components(spec)
             for split, reduce in itertools.product((0, 1), (None, lambda i, Y: covariance(Y))):
-                outputs = []
-                for min_bytes, cpus in ((1 << 62, 1), (0, 3)):
-                    fileio._THREAD_MIN_BYTES, fileio._usable_cpus = min_bytes, lambda n=cpus: n
-                    outputs.append([M.tobytes() for M in synth.generate_observations(
-                        truth, spec, test_split=split, reduce=reduce)])
-                compared += len(outputs[0])
-                if outputs[0] != outputs[1]:
+                serial, threaded = each_mode(lambda mode: [M.tobytes() for M in (
+                    synth.generate_observations(truth, spec, test_split=split, reduce=reduce))])
+                compared += len(serial)
+                if serial != threaded:
                     differ.append(f"{name}/{split}/{'covariances' if reduce else 'arrays'}")
-    finally:
-        fileio._THREAD_MIN_BYTES, fileio._usable_cpus, synth.client_observations = saved
     return compared, sum(off_main), differ
 
 
 @pytest.mark.parametrize("blas", ["pinned", "unpinned"])
 def test_threaded_and_serial_draws_are_bitwise_equal(blas):
     big = _draw_cases()["above-threshold"]
-    assert 8 * big["d"] * big["N"] * big["n_per_client"] >= fileio._THREAD_MIN_BYTES
-    code = "import json, test_synth; print(json.dumps(test_synth._draw_modes_differ()))"
+    assert 8 * big["d"] * big["N"] * big["n_per_client"] >= parallel.MIN_BYTES["thread"]
+    code = "import json, test_synth; print(json.dumps(test_synth._compare_draws()))"
     compared, off_main, differ = json_in_interpreter(code, blas)
     clients = sum(fields["N"] for fields in _draw_cases().values())
     assert compared == 4 * clients and differ == []
