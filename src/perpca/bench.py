@@ -2,10 +2,10 @@
 
 Each scenario returns a list of row dicts (one per grid point and method)
 with mean and standard deviation over seed repeats; the command-line
-``bench`` writes them as CSV. Every scenario is a list of grid points and a
-measure, run by one driver (:func:`_drive`) that builds the planted
-instances. Scenario parameters are chosen so the
-qualitative contrasts are reproducible in minutes on a laptop.
+``bench`` writes them as CSV, in :func:`report_columns` order. Every
+scenario is a list of grid points and a measure, run by one driver
+(:func:`_drive`) that builds the planted instances. Scenario parameters are
+chosen so the qualitative contrasts are reproducible in minutes on a laptop.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ from . import baselines, metrics, model, solver, stiefel, synth
 
 SCENARIOS = {}
 GAP_FLOOR_REL = 1e-12
+REPORT_FMT = "%.10g"  # the report's float cells
 
 
 def _scenario(fn):
@@ -218,16 +219,7 @@ def knowledge_sharing(repeats=5, seed0=0, n_clients=100, rounds=600, n_test=2000
                   rounds=rounds, n_test=n_test)
 
 
-def format_csv(rows):
-    """Render scenario rows as CSV with a union-of-keys header."""
+def report_columns(rows):
+    """The report's columns: the fixed ones, then every other key of ``rows``, sorted."""
     fixed = ["scenario", "method", "metric", "mean", "std", "repeats"]
-    extra = sorted({k for row in rows for k in row} - set(fixed))
-    cols = fixed + extra
-    lines = [",".join(cols)]
-    for row in rows:
-        cells = []
-        for c in cols:
-            v = row.get(c, "")
-            cells.append(f"{v:.10g}" if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return fixed + sorted({key for row in rows for key in row} - set(fixed))

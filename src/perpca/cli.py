@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, bench, checks, fileio, metrics, model, solver, stiefel, synth
-from .errors import DimensionError
+from .errors import DimensionError, InvariantError
 
 
 def _int_list(value):
@@ -228,7 +228,6 @@ def _read_covariances(sources, opt):
 def cmd_fit(args):
     t0 = time.time()
     opt = _resolve(args)
-    digests, covs, _ = _read_covariances(args.data, opt)
     config = solver.SolverConfig(
         r1=opt["r1"], r2=_int_list(opt["r2"]), rounds=opt["rounds"],
         stepsize=_stepsize(opt["eta"]), choice=opt["choice"],
@@ -237,6 +236,7 @@ def cmd_fit(args):
         stop_subspace_tol=opt["stop_tol"],
     )
     truth = _load_components(opt["truth"], prefix="truth_") if opt["truth"] else None
+    digests, covs, _ = _read_covariances(args.data, opt)
     state, trace = solver.run_perpca(covs, config, truth=truth)
     out = Path(opt["out"])
     outputs = fileio.save_components(out, state.U, state.V, fmt=opt["fmt"])
@@ -290,9 +290,8 @@ def cmd_bench(args):
         kwargs["repeats"] = opt["repeats"]
     rows = bench.SCENARIOS[name](**kwargs)
     out = Path(opt["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    report = out / f"{name}.csv"
-    report.write_text(bench.format_csv(rows))
+    report = fileio.save_table(out / f"{name}.csv", bench.report_columns(rows), rows,
+                               bench.REPORT_FMT)
     fileio.write_manifest(out, "bench", opt, outputs=[report],
                           wall_time_s=time.time() - t0)
     print(f"wrote {report} ({len(rows)} rows, {time.time() - t0:.1f}s)")
@@ -300,13 +299,17 @@ def cmd_bench(args):
 
 
 def _load_components(directory, prefix=""):
-    """Saved frames after the frame rule: as one state when there is a shared frame."""
+    """Saved frames after the frame rule, as one state when there is a shared frame;
+    a frame error names ``directory``."""
     U, V = fileio.load_components(directory, prefix)
-    if U is not None:
-        model.ComponentState(U, V).validate()
-    else:
-        for i, Vi in enumerate(V):
-            stiefel.require_frame(Vi, f"local frame {i}")
+    try:
+        if U is not None:
+            model.ComponentState(U, V).validate()
+        else:
+            for i, Vi in enumerate(V):
+                stiefel.require_frame(Vi, f"local frame {i}")
+    except (DimensionError, InvariantError) as exc:
+        raise type(exc)(f"{directory}: {exc}") from exc
     return U, V
 
 
@@ -314,6 +317,12 @@ def cmd_eval(args):
     opt = _resolve(args)
     data_paths = fileio.resolve_data_paths(args.data)
     U, V = _load_components(opt["components"])
+    result = {}
+    if opt["truth"]:
+        if U is None or not V:
+            raise SystemExit("subspace error needs both shared and local components")
+        truth = _load_components(opt["truth"], prefix="truth_")
+        result["subspace_error"] = metrics.subspace_error(model.ComponentState(U, V), truth)
     # one local frame per data file; a shared frame alone (cpca) serves every client
     if (V or U is None) and len(V) != len(data_paths):
         first = (f"no V_{len(V)} for {data_paths[len(V)]}" if len(V) < len(data_paths)
@@ -330,21 +339,14 @@ def cmd_eval(args):
     for path, (_, shape, err), F in zip(data_paths, replies, frames):
         if err is None:
             raise DimensionError(f"{path}: data {shape} and frame {F[0].shape} disagree on d")
+        if not np.isfinite(err):
+            raise ValueError(f"{path}: reconstruction error {err} is not finite")
     per_client = [err for _, _, err in replies]
-    result = {
-        "recon_error_per_client": per_client,
-        "recon_error_mean": float(np.mean(per_client)),
-    }
-    if opt["truth"]:
-        truth = _load_components(opt["truth"], prefix="truth_")
-        if U is None or not V:
-            raise SystemExit("subspace error needs both shared and local components")
-        result["subspace_error"] = metrics.subspace_error(model.ComponentState(U, V), truth)
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if opt["out"]:
-        Path(opt["out"]).parent.mkdir(parents=True, exist_ok=True)
-        Path(opt["out"]).write_text(text + "\n")
-    print(text)
+    mean = float(np.mean(per_client))
+    if not np.isfinite(mean):
+        raise ValueError(f"the mean reconstruction error of {len(per_client)} clients overflows")
+    result.update(recon_error_per_client=per_client, recon_error_mean=mean)
+    print(fileio.save_json(opt["out"], result), end="")
     return 0
 
 
@@ -357,12 +359,9 @@ def cmd_cluster(args):
     rho = metrics.rho_matrix(V)
     labels = metrics.spectral_cluster(rho, opt["k"], seed=opt["seed"])
     out = Path(opt["out"])
-    out.mkdir(parents=True, exist_ok=True)
     rho_path = fileio.save_matrix(out / "rho.csv", rho)
-    labels_path = out / "labels.csv"
-    labels_path.write_text(
-        "client,label\n" + "\n".join(f"{i},{int(l)}" for i, l in enumerate(labels)) + "\n"
-    )
+    labels_path = fileio.save_table(out / "labels.csv", ["client", "label"],
+                                    [{"client": i, "label": int(l)} for i, l in enumerate(labels)])
     fileio.write_manifest(out, "cluster", opt,
                           outputs=[rho_path, labels_path],
                           metrics={"labels": [int(l) for l in labels]},

@@ -1,4 +1,4 @@
-"""Dataset, component, trace, and manifest files.
+"""Every file the package writes, and the dataset and component files it reads.
 
 Data files store observations as rows (n x d); the loader transposes to
 the internal features-x-observations layout. CSV numbers carry 17
@@ -12,9 +12,9 @@ file, optionally centres it and reduces it in the process that read it.
 Only the task's result reaches the caller. Per file, ``perpca fit`` and
 ``baseline`` receive the sha256 of the parsed bytes, the dataset's shape
 and its covariance; ``perpca eval`` receives the shape and the
-reconstruction error; ``synth`` receives nothing. ``eval`` loads
-and checks the components before it reads any data file, so when both
-are bad the component error is the one raised.
+reconstruction error; ``synth`` receives nothing. ``fit`` and ``eval``
+load and check the components and truth before they read any data file,
+so when both are bad the component error is the one raised.
 
 When every file is CSV, the tasks run through :func:`parallel.ordered`
 with the ``"fork"`` backend: in forked worker processes, one file per
@@ -53,7 +53,7 @@ def save_matrix(path, M, header=None):
     CSV bytes equal those of ``np.savetxt(path, M, fmt="%.17g", delimiter=",",
     header=..., comments="")``, formatted one block of rows per ``%`` call.
     """
-    path = Path(path)
+    path = _created(path)
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if _format_of(path) == "csv":
         row = ",".join([_FMT] * M.shape[1]) + "\n"
@@ -110,6 +110,13 @@ def load_matrix(path, header=False, raw=None):
     return M
 
 
+def _created(path):
+    """``path`` as a Path, after its directory is made: each writer opens its file here."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _ext(fmt):
     return "csv" if fmt == "csv" else "mat64"
 
@@ -129,9 +136,7 @@ def write_clients(out_dir, draw, shapes, fmt="csv", header=False):
     Each dataset is drawn in the process that writes it, one client at a
     time, so the caller never holds more than one.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / f"client_{i}.{_ext(fmt)}" for i in range(len(shapes))]
+    paths = [Path(out_dir) / f"client_{i}.{_ext(fmt)}" for i in range(len(shapes))]
 
     def save(i):
         Y = draw(i)
@@ -208,14 +213,9 @@ def read_clients(paths, reduce, header=False, center=False, digest=False):
 
 def save_components(out_dir, U=None, V=None, fmt="csv", prefix=""):
     """Write shared/local frames as ``<prefix>U`` and ``<prefix>V_<i>`` files."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    if U is not None:
-        paths.append(save_matrix(out_dir / f"{prefix}U.{_ext(fmt)}", U))
-    for i, Vi in enumerate(V or []):
-        paths.append(save_matrix(out_dir / f"{prefix}V_{i}.{_ext(fmt)}", Vi))
-    return paths
+    named = [("U", U)] if U is not None else []
+    named += [(f"V_{i}", Vi) for i, Vi in enumerate(V or [])]
+    return [save_matrix(Path(out_dir) / f"{prefix}{name}.{_ext(fmt)}", F) for name, F in named]
 
 
 def load_components(comp_dir, prefix=""):
@@ -232,17 +232,33 @@ def load_components(comp_dir, prefix=""):
     return U, [load_matrix(path) for path in _client_sequence(comp_dir, f"{prefix}V_")]
 
 
+def save_table(path, columns, rows, fmt=_FMT):
+    """The one CSV table writer: a header of ``columns``, then one line per mapping of
+    ``rows``. A float cell is written in ``fmt``, a missing one empty, any other ``str``."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = (row.get(column, "") for column in columns)
+        lines.append(",".join(fmt % v if isinstance(v, float) else str(v) for v in cells))
+    path = _created(path)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def save_trace(path, trace):
     """Trace CSV with one row per round; subspace_error column only when known."""
     fields = list(RoundTrace._fields)
     if not trace or trace[0].subspace_error is None:
         fields = fields[:-1]
-    lines = [",".join(fields)]
-    for rec in trace:
-        vals = [getattr(rec, f) for f in fields]
-        lines.append(",".join(_FMT % v if isinstance(v, float) else str(v) for v in vals))
-    Path(path).write_text("\n".join(lines) + "\n")
-    return Path(path)
+    return save_table(path, fields, [rec._asdict() for rec in trace])
+
+
+def save_json(path, payload):
+    """The one JSON writer: ``payload`` with sorted keys and a two-space indent, at ``path``
+    if given; returns the text. A NaN or infinity raises ValueError, as strict JSON has none."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if path:
+        _created(path).write_text(text)
+    return text
 
 
 def file_digest(path):
@@ -256,8 +272,6 @@ def write_manifest(out_dir, command, flags, inputs=None, outputs=(), metrics=Non
     ``inputs`` maps each input file to the sha256 of the bytes the command
     read from it (see :func:`read_clients`).
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": MANIFEST_VERSION,
         "command": command,
@@ -268,6 +282,6 @@ def write_manifest(out_dir, command, flags, inputs=None, outputs=(), metrics=Non
         "metrics": metrics or {},
         "wall_time_s": wall_time_s,
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    path = Path(out_dir) / "manifest.json"
+    save_json(path, payload)
     return path

@@ -241,10 +241,16 @@ def heterogeneity(projectors):
     1 - 1/N for N mutually orthogonal ones. Projectors must share one nonempty square shape."""
     if len(projectors) == 0:
         raise ValueError("need at least one local subspace")
-    d = np.shape(projectors[0])[0] if np.ndim(projectors[0]) else 0
-    for i, P in enumerate(projectors):
-        if d < 1 or np.shape(P) != (d, d):
-            raise DimensionError(f"projector {i} has shape {np.shape(P)}, expected "
+    shapes = []
+    for P in projectors:
+        try:
+            shapes.append(np.shape(P))
+        except ValueError:  # nested lists of unequal lengths have no shape
+            shapes.append("ragged")
+    d = shapes[0][0] if shapes[0] not in ((), "ragged") else 0
+    for i, shape in enumerate(shapes):
+        if d < 1 or shape != (d, d):
+            raise DimensionError(f"projector {i} has shape {shape}, expected "
                                  + (f"({d}, {d})" if d else "(d, d) with d >= 1"))
     mean = sum(np.asarray(P, dtype=float) for P in projectors) / len(projectors)
     if not np.isfinite(mean).all():

@@ -139,14 +139,17 @@ def subspace_distance(A, B):
     Equals rank(A) + rank(B) - 2 ||A^T B||_F^2, but is computed from the
     explicit projector difference, which stays accurate down to ~1e-30 for
     nearly equal subspaces where the Gram identity cancels catastrophically.
-    Zero iff col(A) = col(B). Both inputs must be orthonormal frames, and
-    :func:`stacks.require_shape` checks both against A's row count.
+    Zero iff col(A) = col(B). Both inputs must be orthonormal frames:
+    :func:`stacks.require_shape` checks both against A's row count, and a
+    non-finite entry raises InvariantError.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     d = A.shape[0] if A.ndim else 0
-    stacks.require_shape(A, d, "frame A")
-    stacks.require_shape(B, d, "frame B")
+    for F, name in ((A, "frame A"), (B, "frame B")):
+        stacks.require_shape(F, d, name)
+        if not np.isfinite(F).all():
+            raise InvariantError(f"{name} has a non-finite entry")
     diff = projector(A) - projector(B)
     return float(np.sum(diff * diff))
 
@@ -161,6 +164,8 @@ def random_frame(d, r, rng, against=None):
                                 or r + np.shape(against)[1] > d):
         raise DimensionError(f"no room for d={d}, r={r} beside a frame of shape "
                              f"{np.shape(against)}: need ({d}, k) with r + k <= {d}")
+    if against is not None and not np.isfinite(against).all():
+        raise InvariantError("against has a non-finite entry")
     raw = rng.standard_normal((d, r))
     if against is None:
         return _qr_factor(raw)[0]

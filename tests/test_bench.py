@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from forcing import each_mode
-from perpca import bench, model
+from perpca import bench, fileio, model
 
 
 def test_scenario_registry():
@@ -58,15 +58,16 @@ def test_held_out_errors_check_each_frame_set_once(monkeypatch):
     assert calls == [10] * 3 + [0] * 11
 
 
-def test_format_csv_union_header():
+def test_report_csv_union_header(tmp_path):
     rows = [
         {"scenario": "s", "method": "m", "metric": "x", "mean": 1.0, "std": 0.0,
          "median": 1.0, "repeats": 1, "n": 10},
         {"scenario": "s", "method": "m", "metric": "x", "mean": 2.0, "std": 0.0,
          "median": 2.0, "repeats": 1, "d": 5},
     ]
-    text = bench.format_csv(rows)
-    lines = text.splitlines()
+    path = fileio.save_table(tmp_path / "report.csv", bench.report_columns(rows), rows,
+                             bench.REPORT_FMT)
+    lines = path.read_text().splitlines()
     assert lines[0] == "scenario,method,metric,mean,std,repeats,d,median,n"
     assert len(lines) == 3
     assert lines[1].endswith(",10") and ",,," not in lines[0]
@@ -104,7 +105,7 @@ def test_row_layout(scenario, kwargs, grid, layout, extra):
     got = [(r["method"], r["metric"], r[grid], *([r["group"]] if "group" in r else []))
            for r in rows]
     assert got == layout
-    assert bench.format_csv(rows).splitlines()[0].split(",") == [
+    assert bench.report_columns(rows) == [
         "scenario", "method", "metric", "mean", "std", "repeats", *extra]
     assert {r["scenario"] for r in rows} == {scenario}
     assert {r["repeats"] for r in rows} == {kwargs["repeats"]}

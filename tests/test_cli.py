@@ -15,6 +15,12 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def _refuse_data_reads(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a data file was read")
+    monkeypatch.setattr(fileio, "read_clients", refuse)
+
+
 @pytest.fixture()
 def synth_dir(tmp_path):
     out = tmp_path / "data"
@@ -226,9 +232,9 @@ class TestBaselineEvalCluster:
 
     # r1 = r2 = 1, so a local frame can equal the shared column
     @pytest.mark.parametrize("command, defect, message", [
-        ("eval", "2U", r"^shared frame columns not orthonormal: "),
-        ("eval", "V1=U", r"^client 1: shared/local cross product "),
-        ("cluster", "3V1", r"^local frame 1 columns not orthonormal: "),
+        ("eval", "2U", r"shared frame columns not orthonormal: "),
+        ("eval", "V1=U", r"client 1: shared/local cross product "),
+        ("cluster", "3V1", r"local frame 1 columns not orthonormal: "),
     ], ids=["eval-2U", "eval-V1=U", "cluster-3V1"])
     def test_frames_off_the_frame_rule_are_rejected(self, synth_dir, tmp_path, command, defect,
                                                      message):
@@ -240,7 +246,7 @@ class TestBaselineEvalCluster:
                        "3V1": ("V_1.csv", 3 * V1)}[defect]
         fileio.save_matrix(fit_out / name, frame)
         argv = ["eval", synth_dir] if command == "eval" else ["cluster", "--out", tmp_path / "cl"]
-        with pytest.raises(InvariantError, match=message):
+        with pytest.raises(InvariantError, match=f"^{re.escape(str(fit_out))}: {message}"):
             run(*argv, "--components", fit_out)
 
 
@@ -279,15 +285,60 @@ class TestBaselineEvalCluster:
         assert calls == [9] * (1 + truth)  # the components, then the truth
 
     @pytest.mark.parametrize("command", ["fit", "eval"])
-    def test_truth_off_the_frame_rule_is_rejected(self, synth_dir, tmp_path, command):
+    def test_truth_off_the_frame_rule_is_rejected(self, synth_dir, tmp_path, monkeypatch,
+                                                  command):
+        # before any data file is read, naming the truth directory
         fit_out = tmp_path / "fit"
         run("fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 30, "--seed", 5, "--out", fit_out)
         truth_U = synth_dir / "truth_U.csv"
         fileio.save_matrix(truth_U, 2 * fileio.load_matrix(truth_U))
         argv = (["fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 5, "--out", tmp_path / "f2"]
                 if command == "fit" else ["eval", synth_dir, "--components", fit_out])
-        with pytest.raises(InvariantError, match=r"^shared frame columns not orthonormal: "):
+        _refuse_data_reads(monkeypatch)
+        with pytest.raises(InvariantError, match=f"^{re.escape(str(synth_dir))}: "
+                                                 "shared frame columns not orthonormal: "):
             run(*argv, "--truth", synth_dir)
+
+    @pytest.mark.parametrize("method, sizes, kind, message", [
+        ("indiv", None, SystemExit, "^subspace error needs both shared and local components$"),
+        ("distpca", ["--d", 5, "--N", 3], DimensionError,
+         r"^true shared frame has shape \(5, 1\), expected \(6, r\)$"),
+        ("distpca", ["--d", 6, "--N", 4], DimensionError, r"^4 true local frames for 3 clients$"),
+    ], ids=["local-only", "d", "N"])
+    def test_eval_truth_is_checked_before_reading_data(self, synth_dir, tmp_path, monkeypatch,
+                                                       method, sizes, kind, message):
+        out, truth = tmp_path / method, synth_dir
+        run("baseline", synth_dir, "--method", method, "--r1", 1, "--r2", 1, "--out", out)
+        if sizes:
+            truth = tmp_path / "truth"
+            run("synth", *sizes, "--r1", 1, "--r2", 1, "--n", 20, "--out", truth)
+        _refuse_data_reads(monkeypatch)
+        with pytest.raises(kind, match=message):
+            run("eval", synth_dir, "--components", out, "--truth", truth)
+
+    def test_eval_refuses_a_non_finite_error(self, tmp_path, capsys):
+        # entries near 1e200 overflow the squared residual: the report used to read Infinity
+        rng = np.random.default_rng(0)
+        data, comps, report = tmp_path / "data", tmp_path / "comps", tmp_path / "eval.json"
+        for i in range(2):
+            fileio.save_matrix(data / f"client_{i}.csv", 1e200 * (1 + rng.random((6, 3))))
+        fileio.save_components(comps, np.eye(3)[:, :1], [np.eye(3)[:, 1:2], np.eye(3)[:, 2:]])
+        message = (f"^{re.escape(str(data / 'client_0.csv'))}: "
+                   "reconstruction error inf is not finite$")
+        with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
+            run("eval", data, "--components", comps, "--out", report)
+        assert not report.exists() and capsys.readouterr().out == ""
+
+    def test_eval_refuses_a_mean_that_overflows(self, synth_dir, tmp_path, monkeypatch, capsys):
+        fit_out, report = tmp_path / "fit", tmp_path / "eval.json"
+        run("fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 5, "--out", fit_out)
+        capsys.readouterr()
+        force(monkeypatch, "serial")  # the patched error is computed in this process
+        monkeypatch.setattr(model, "_reconstruction_error", lambda Y, frames: 1e308)
+        with pytest.raises(ValueError, match="^the mean reconstruction error of 3 clients "
+                                             "overflows$"), np.errstate(over="ignore"):
+            run("eval", synth_dir, "--components", fit_out, "--out", report)
+        assert not report.exists() and capsys.readouterr().out == ""
 
 
 class TestCheck:
@@ -398,9 +449,11 @@ class TestOptionTable:
         (["fit", "DATA", "--eta", "nan"], "stepsize must be finite"),
         (["fit", "DATA", "--stepsize-scale", "inf"], "stepsize_scale must be finite"),
     ])
-    def test_bad_number_fails_before_anything_is_written(self, synth_dir, tmp_path, argv,
-                                                         message):
+    def test_bad_number_fails_before_anything_is_written(self, synth_dir, tmp_path, monkeypatch,
+                                                         argv, message):
+        # and before any data file is read
         out = tmp_path / "out"
+        _refuse_data_reads(monkeypatch)
         with pytest.raises(ValueError, match=message):
             run(*[synth_dir if a == "DATA" else a for a in argv], "--out", out)
         assert not out.exists()

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import itertools
@@ -215,6 +216,74 @@ def test_manifest_refuses_a_non_finite_number(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         fileio.write_manifest(tmp_path, "synth", {"noise_std": float("nan")})
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+def test_json_refuses_a_non_finite_number_before_making_anything(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        fileio.save_json(tmp_path / "new" / "report.json", {"errors": [1.0, value]})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_text_is_returned_and_written_when_a_path_is_given(tmp_path):
+    payload = {"b": [1.5, 2], "a": {"c": None}}
+    text = fileio.save_json(None, payload)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert fileio.save_json(tmp_path / "report.json", payload) == text
+    assert (tmp_path / "report.json").read_text() == text
+    assert list(tmp_path.iterdir()) == [tmp_path / "report.json"]
+
+
+def test_table_cells(tmp_path):
+    # floats in the given format, a missing cell empty, any other value by str
+    rows = [{"a": 0.1, "b": 2, "c": "x"}, {"a": np.float64(1 / 3), "c": None}]
+    path = fileio.save_table(tmp_path / "t.csv", ["a", "b", "c"], rows, "%.3g")
+    assert path.read_text() == "a,b,c\n0.1,2,x\n0.333,,None\n"
+    assert fileio.save_table(tmp_path / "e.csv", ["a"], []).read_text() == "a\n"
+    assert fileio.save_table(tmp_path / "f.csv", ["a"], [{"a": 0.1}]).read_text() == (
+        "a\n0.10000000000000001\n")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: fileio.save_matrix(path.with_suffix(".csv"), np.eye(2)),
+    lambda path: fileio.save_matrix(path.with_suffix(".mat64"), np.eye(2)),
+    lambda path: fileio.save_table(path, ["a"], [{"a": 1}]),
+    lambda path: fileio.save_json(path, {"a": 1}) and path,  # returns the text
+    lambda path: fileio.save_trace(path, []),
+    lambda path: fileio.write_manifest(path.parent, "synth", {}),
+    lambda path: fileio.save_components(path.parent, np.eye(2)[:, :1])[0],
+    lambda path: fileio.write_clients(path.parent, lambda i: np.eye(2), [(2, 2)])[0],
+], ids=["csv", "mat64", "table", "json", "trace", "manifest", "components", "clients"])
+def test_each_writer_makes_its_directory(tmp_path, write):
+    path = tmp_path / "a" / "b" / "out"
+    written = write(path)
+    assert written.parent == path.parent and written.is_file()
+
+
+def _writes(tree):
+    """Line numbers of calls in ``tree`` that write a file or render JSON text."""
+    found = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "attr", getattr(call.func, "id", None))
+        # open(path, mode) or path.open(mode); a mode that is not a read mode counts
+        modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+        modes += call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1]
+        writes = any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt"))
+                     for m in modes)
+        if name in ("dump", "dumps", "write_text", "write_bytes", "mkdir") or (
+                name == "open" and writes):
+            found.append(f"{name} at line {call.lineno}")
+    return found
+
+
+def test_only_fileio_writes_files():
+    # every file the package writes, and every CSV or JSON text it renders, is fileio's
+    package = Path(fileio.__file__).parent
+    found = {path.name: _writes(ast.parse(path.read_text())) for path in package.glob("*.py")}
+    assert len(found["fileio.py"]) >= 5  # the detector sees fileio's own writes
+    assert {name: calls for name, calls in found.items() if calls and name != "fileio.py"} == {}
 
 
 def _clients(n=5, d=4):

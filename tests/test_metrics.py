@@ -260,7 +260,9 @@ def test_heterogeneity_rejects_a_non_finite_mean(bad, message):
     ([np.float64(1.0), np.eye(1)], r"^projector 0 has shape \(\)"),
     ([np.eye(2), np.ones(2)], r"^projector 1 has shape \(2,\)"),
     ([np.zeros((0, 0))], r"^projector 0 has shape \(0, 0\), expected \(d, d\) with d >= 1$"),
-    ([np.zeros((0, 0)), np.eye(2)], r"^projector 0 has shape \(0, 0\)")])
+    ([np.zeros((0, 0)), np.eye(2)], r"^projector 0 has shape \(0, 0\)"),
+    ([np.eye(2), [[1, 0], [0]]], r"^projector 1 has shape ragged, expected \(2, 2\)$"),
+    ([[[1, 0], [0]], np.eye(2)], r"^projector 0 has shape ragged, expected \(d, d\)")])
 def test_heterogeneity_rejects_projectors_of_another_shape(projectors, message):
     with pytest.raises(DimensionError, match=message):
         metrics.heterogeneity(projectors)

@@ -285,6 +285,14 @@ class TestRandomFrame:
         with pytest.raises(DimensionError, match="need 1 <= r <= d"):
             stiefel.random_frame(d, r, _rng())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_against_is_named(self, bad):
+        # used to raise SingularityError about a solver step
+        against = np.eye(3)[:, :1].copy()
+        against[1, 0] = bad
+        with pytest.raises(InvariantError, match="^against has a non-finite entry$"):
+            stiefel.random_frame(3, 1, _rng(), against=against)
+
 
 class TestSubspaceDistance:
     def test_same_frame_zero(self):
@@ -332,6 +340,15 @@ class TestSubspaceDistance:
         name = "B" if bad == "B" else "A"
         with pytest.raises(DimensionError, match=f"^frame {name} has shape "
                                                  f"{re.escape(str(shape))}, expected \\(3, r\\)$"):
+            stiefel.subspace_distance(A, B)
+
+    @pytest.mark.parametrize("bad", ["A", "B"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_frame_is_named(self, bad, value):
+        # a NaN frame used to measure as nan
+        good, nan = np.eye(3)[:, :1], np.full((3, 1), value)
+        A, B = (nan, good) if bad == "A" else (good, nan)
+        with pytest.raises(InvariantError, match=f"^frame {bad} has a non-finite entry$"):
             stiefel.subspace_distance(A, B)
 
 
