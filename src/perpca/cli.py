@@ -8,8 +8,12 @@ frames), ``check`` (numerical verification suites).
 Each option is one entry of :data:`OPTIONS`, naming the commands that read
 it; the parser, the config-file check and the manifest ``flags`` all come
 from that table. Precedence: explicit flag > JSON config file
-(``--config``) > built-in default. ``eval`` and ``check`` write no
-manifest; every other command does.
+(``--config``) > built-in default.
+
+:func:`main` owns each command's run: it resolves the options, starts the
+clock, calls the command with them, writes the manifest and then prints the
+command's closing line. ``eval`` and ``check`` return their exit code and
+write no manifest; every other command returns a :class:`Run`.
 """
 
 import argparse
@@ -18,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -184,9 +189,16 @@ def _resolve(args):
     return opt
 
 
-def cmd_synth(args):
-    t0 = time.time()
-    opt = _resolve(args)
+class Run(NamedTuple):
+    """What a command wrote, for :func:`main` to record in its manifest."""
+
+    outputs: list
+    line: Callable  # the closing line, given the manifest path
+    inputs: dict = None  # data file -> sha256 of the bytes read from it
+    metrics: dict = None
+
+
+def cmd_synth(args, opt):
     if opt["groups"] is not None and not 1 <= opt["groups"] <= opt["N"]:
         raise ValueError(f"--groups must lie in [1, N={opt['N']}], got {opt['groups']}")
     spec = synth.GenerativeSpec(
@@ -199,35 +211,36 @@ def cmd_synth(args):
             i * opt["groups"] // opt["N"] for i in range(opt["N"])],
     )
     truth = synth.generate_components(spec)
-    out = Path(opt["out"])
-    outputs = fileio.write_clients(out, lambda i: synth.client_observations(truth, spec, i),
+    outputs = fileio.write_clients(opt["out"], lambda i: synth.client_observations(truth, spec, i),
                                    [(spec.d, n) for n in spec.n_per_client],
                                    fmt=opt["fmt"], header=opt["header"])
-    outputs += fileio.save_components(out, truth.U_true, truth.V_true,
+    outputs += fileio.save_components(opt["out"], truth.U_true, truth.V_true,
                                       fmt=opt["fmt"], prefix="truth_")
-    manifest = fileio.write_manifest(
-        out, "synth", opt, outputs=outputs,
-        metrics={"theta_actual": truth.theta_actual, "eigengap": truth.eigengap,
-                 "groups": truth.groups},
-        wall_time_s=time.time() - t0,
-    )
-    print(f"wrote {len(outputs)} files and {manifest}")
-    return 0
+    return Run(outputs, lambda manifest: f"wrote {len(outputs)} files and {manifest}",
+               metrics={"theta_actual": truth.theta_actual, "eigengap": truth.eigengap,
+                        "groups": truth.groups})
 
 
-def _read_covariances(sources, opt):
+def _read_covariances(paths, opt):
     """The sha256 of each data file's bytes by path, and the clients' covariances and
     sample counts, each computed where its file was read."""
-    paths = fileio.resolve_data_paths(sources)
     replies = fileio.read_clients(paths, lambda i, Y: model.covariance(Y), opt["header"],
                                   opt["center"], digest=True)
     digests = {path: digest for path, (digest, _, _) in zip(paths, replies)}
     return digests, [S for _, _, S in replies], [shape[1] for _, shape, _ in replies]
 
 
-def cmd_fit(args):
-    t0 = time.time()
-    opt = _resolve(args)
+def _require_frame_per_file(V, paths, directory, prefix=""):
+    """One local frame per data file; else a DimensionError naming ``directory`` and
+    the first frame or file without its pair."""
+    if len(V) != len(paths):
+        first = (f"no {prefix}V_{len(V)} for {paths[len(V)]}" if len(V) < len(paths)
+                 else f"{prefix}V_{len(paths)} has no data file")
+        raise DimensionError(f"{len(V)} local frames in {directory} for "
+                             f"{len(paths)} data files: {first}")
+
+
+def cmd_fit(args, opt):
     config = solver.SolverConfig(
         r1=opt["r1"], r2=_int_list(opt["r2"]), rounds=opt["rounds"],
         stepsize=_stepsize(opt["eta"]), choice=opt["choice"],
@@ -235,12 +248,20 @@ def cmd_fit(args):
         seed=opt["seed"], stepsize_scale=opt["stepsize_scale"],
         stop_subspace_tol=opt["stop_tol"],
     )
-    truth = _load_components(opt["truth"], prefix="truth_") if opt["truth"] else None
-    digests, covs, _ = _read_covariances(args.data, opt)
+    if config.stop_subspace_tol is not None and not opt["truth"]:
+        raise SystemExit("--stop-tol needs --truth: early stopping compares with the true frames")
+    paths = fileio.resolve_data_paths(args.data)
+    truth = None
+    if opt["truth"]:
+        truth = _load_components(opt["truth"], prefix="truth_")
+        _require_frame_per_file(truth[1], paths, opt["truth"], prefix="truth_")
+    digests, covs, _ = _read_covariances(paths, opt)
+    if truth is not None and len(truth[1][0]) != len(covs[0]):
+        raise DimensionError(f"{paths[0]}: data has d={len(covs[0])}, but the truth in "
+                             f"{opt['truth']} has d={len(truth[1][0])}")
     state, trace = solver.run_perpca(covs, config, truth=truth)
-    out = Path(opt["out"])
-    outputs = fileio.save_components(out, state.U, state.V, fmt=opt["fmt"])
-    outputs.append(fileio.save_trace(out / "trace.csv", trace))
+    outputs = fileio.save_components(opt["out"], state.U, state.V, fmt=opt["fmt"])
+    outputs.append(fileio.save_trace(Path(opt["out"], "trace.csv"), trace))
     final = {}
     if trace:
         final = trace[-1]._asdict()
@@ -248,54 +269,39 @@ def cmd_fit(args):
         # rounds whose objective fell below the previous round's, beyond rounding
         final["objective_decreases"] = sum(b.objective < a.objective - 1e-12
                                            for a, b in zip(trace, trace[1:]))
-    manifest = fileio.write_manifest(
-        out, "fit", opt, inputs=digests, outputs=outputs,
-        metrics=final, wall_time_s=time.time() - t0,
-    )
-    print(f"fit finished in {len(trace)} recorded rounds; wrote {manifest}")
-    return 0
+    return Run(outputs, lambda manifest: f"fit finished in {len(trace)} recorded rounds; "
+                                         f"wrote {manifest}", inputs=digests, metrics=final)
 
 
-def cmd_baseline(args):
-    t0 = time.time()
-    opt = _resolve(args)
-    digests, covs, counts = _read_covariances(args.data, opt)
+def cmd_baseline(args, opt):
+    digests, covs, counts = _read_covariances(fileio.resolve_data_paths(args.data), opt)
     r1, r2 = opt["r1"], _int_list(opt["r2"])
     if opt["method"] != "distpca":  # distpca checks the ranks itself
         r_total = r1 + max(model.local_ranks(r1, r2, len(covs), len(covs[0])))
-    out = Path(opt["out"])
     if opt["method"] == "distpca":
         state = baselines.distpca(covs, r1, r2)
-        outputs = fileio.save_components(out, state.U, state.V, fmt=opt["fmt"])
+        outputs = fileio.save_components(opt["out"], state.U, state.V, fmt=opt["fmt"])
     elif opt["method"] == "indiv":
         frames = baselines.indiv_pca(covs, r_total)
-        outputs = fileio.save_components(out, None, frames, fmt=opt["fmt"])
+        outputs = fileio.save_components(opt["out"], None, frames, fmt=opt["fmt"])
     else:
         frame = baselines.central_pca(covs, counts, r_total)
-        outputs = fileio.save_components(out, frame, None, fmt=opt["fmt"])
-    manifest = fileio.write_manifest(
-        out, "baseline", opt, inputs=digests, outputs=outputs,
-        wall_time_s=time.time() - t0,
-    )
-    print(f"baseline {opt['method']} wrote {len(outputs)} files and {manifest}")
-    return 0
+        outputs = fileio.save_components(opt["out"], frame, None, fmt=opt["fmt"])
+    return Run(outputs, lambda manifest: f"baseline {opt['method']} wrote {len(outputs)} "
+                                         f"files and {manifest}", inputs=digests)
 
 
-def cmd_bench(args):
+def cmd_bench(args, opt):
     t0 = time.time()
-    opt = _resolve(args)
     name = opt["scenario"]
     kwargs = {"seed0": opt["seed"]}
     if opt["repeats"] is not None:
         kwargs["repeats"] = opt["repeats"]
     rows = bench.SCENARIOS[name](**kwargs)
-    out = Path(opt["out"])
-    report = fileio.save_table(out / f"{name}.csv", bench.report_columns(rows), rows,
+    report = fileio.save_table(Path(opt["out"], f"{name}.csv"), bench.report_columns(rows), rows,
                                bench.REPORT_FMT)
-    fileio.write_manifest(out, "bench", opt, outputs=[report],
-                          wall_time_s=time.time() - t0)
-    print(f"wrote {report} ({len(rows)} rows, {time.time() - t0:.1f}s)")
-    return 0
+    return Run([report], lambda manifest: f"wrote {report} ({len(rows)} rows, "
+                                          f"{time.time() - t0:.1f}s)")
 
 
 def _load_components(directory, prefix=""):
@@ -313,8 +319,7 @@ def _load_components(directory, prefix=""):
     return U, V
 
 
-def cmd_eval(args):
-    opt = _resolve(args)
+def cmd_eval(args, opt):
     data_paths = fileio.resolve_data_paths(args.data)
     U, V = _load_components(opt["components"])
     result = {}
@@ -324,11 +329,8 @@ def cmd_eval(args):
         truth = _load_components(opt["truth"], prefix="truth_")
         result["subspace_error"] = metrics.subspace_error(model.ComponentState(U, V), truth)
     # one local frame per data file; a shared frame alone (cpca) serves every client
-    if (V or U is None) and len(V) != len(data_paths):
-        first = (f"no V_{len(V)} for {data_paths[len(V)]}" if len(V) < len(data_paths)
-                 else f"V_{len(data_paths)} has no data file")
-        raise DimensionError(f"{len(V)} local frames in {opt['components']} for "
-                             f"{len(data_paths)} data files: {first}")
+    if V or U is None:
+        _require_frame_per_file(V, data_paths, opt["components"])
     frames = [[F for F in (U, Vi) if F is not None] for Vi in V or [None] * len(data_paths)]
 
     def error(i, Y):  # None when the frames have another d, raised below in client order
@@ -350,28 +352,20 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_cluster(args):
-    t0 = time.time()
-    opt = _resolve(args)
+def cmd_cluster(args, opt):
     _, V = _load_components(opt["components"])
     if len(V) < 2:
         raise SystemExit(f"need at least two local frames in {opt['components']}")
     rho = metrics.rho_matrix(V)
     labels = metrics.spectral_cluster(rho, opt["k"], seed=opt["seed"])
-    out = Path(opt["out"])
-    rho_path = fileio.save_matrix(out / "rho.csv", rho)
-    labels_path = fileio.save_table(out / "labels.csv", ["client", "label"],
+    rho_path = fileio.save_matrix(Path(opt["out"], "rho.csv"), rho)
+    labels_path = fileio.save_table(Path(opt["out"], "labels.csv"), ["client", "label"],
                                     [{"client": i, "label": int(l)} for i, l in enumerate(labels)])
-    fileio.write_manifest(out, "cluster", opt,
-                          outputs=[rho_path, labels_path],
-                          metrics={"labels": [int(l) for l in labels]},
-                          wall_time_s=time.time() - t0)
-    print(f"wrote {rho_path} and {labels_path}")
-    return 0
+    return Run([rho_path, labels_path], lambda manifest: f"wrote {rho_path} and {labels_path}",
+               metrics={"labels": [int(l) for l in labels]})
 
 
-def cmd_check(args):
-    opt = _resolve(args)
+def cmd_check(args, opt):
     names = opt["suite"] if opt["suite"] else None
     reports = checks.run_suites(names, seed=opt["seed"])
     for report in reports:
@@ -411,7 +405,16 @@ def main(argv=None):
     # the top-level parser has no options but --help, so argv[0] names the command
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
-    return args.func(args)
+    t0 = time.time()
+    opt = _resolve(args)
+    run = args.func(args, opt)
+    if not isinstance(run, Run):  # eval and check: an exit code and no manifest
+        return run
+    manifest = fileio.write_manifest(opt["out"], args.command, opt, inputs=run.inputs,
+                                     outputs=run.outputs, metrics=run.metrics,
+                                     wall_time_s=time.time() - t0)
+    print(run.line(manifest))
+    return 0
 
 
 if __name__ == "__main__":

@@ -101,9 +101,10 @@ def operator_norm(S):
     active = np.arange(n)  # slices still iterating, ascending
     S_active = S
     v = np.tile(start, (n, 1))
+    Sv = S @ v[..., None]  # of each active slice; the Rayleigh quotient's Sv is the next w
     lam = np.zeros(n)
     for _ in range(POWER_MAX_ITER):
-        w = (S_active @ v[..., None])[..., 0]
+        w = Sv[..., 0]
         norm = np.sqrt((w[:, None, :] @ w[..., None])[:, 0, 0])
         stepped = norm != 0.0
         finished = np.zeros(len(active), dtype=bool)
@@ -115,13 +116,15 @@ def operator_norm(S):
             v[j] = 0.0
             v[j, k] = 1.0
         v[stepped] = w[stepped] / norm[stepped, None]
-        lam_new = (v[:, None, :] @ (S_active @ v[..., None]))[:, 0, 0]
+        Sv = S_active @ v[..., None]
+        lam_new = (v[:, None, :] @ Sv)[:, 0, 0]
         converged = stepped & (np.abs(lam_new - lam) <= POWER_REL_TOL * np.abs(lam_new))
         out[active[converged]] = lam_new[converged]
         lam[stepped] = lam_new[stepped]
         keep = ~(converged | finished)
         if not keep.all():
-            active, S_active, v, lam = active[keep], S_active[keep], v[keep], lam[keep]
+            active, S_active, v, Sv, lam = (active[keep], S_active[keep], v[keep], Sv[keep],
+                                            lam[keep])
             if not active.size:
                 return out
     out[active] = lam

@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shlex
@@ -141,6 +142,41 @@ class TestFit:
         run("fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 5,
             "--center", "--seed", 2, "--out", tmp_path / "ctr")
         assert (tmp_path / "ctr" / "U.csv").exists()
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_stop_tol_without_truth_exits_before_reading_data(self, synth_dir, tmp_path,
+                                                             monkeypatch, via_config):
+        argv = ["--stop-tol", 0.1]
+        if via_config:
+            argv = ["--config", tmp_path / "cfg.json"]
+            argv[1].write_text(json.dumps({"stop_tol": 0.1}))
+        _refuse_data_reads(monkeypatch)
+        with pytest.raises(SystemExit, match="^--stop-tol needs --truth"):
+            run("fit", synth_dir, *argv, "--out", tmp_path / "f")
+        assert not (tmp_path / "f").exists()
+
+    @pytest.mark.parametrize("N, first", [
+        (2, "no truth_V_2 for {data}/client_2.csv"), (4, "truth_V_3 has no data file"),
+    ], ids=["fewer", "more"])
+    def test_truth_of_another_client_count_fails_before_reading_data(
+            self, synth_dir, tmp_path, monkeypatch, N, first):
+        truth = tmp_path / "truth"
+        run("synth", "--d", 6, "--N", N, "--r1", 1, "--r2", 1, "--n", 20, "--out", truth)
+        message = f"{N} local frames in {truth} for 3 data files: " + first.format(data=synth_dir)
+        _refuse_data_reads(monkeypatch)
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            run("fit", synth_dir, "--r1", 1, "--r2", 1, "--truth", truth, "--out", tmp_path / "f")
+
+    def test_truth_of_another_d_names_the_truth_and_a_data_file(self, synth_dir, tmp_path,
+                                                                monkeypatch):
+        truth = tmp_path / "truth"
+        run("synth", "--d", 5, "--N", 3, "--r1", 1, "--r2", 1, "--n", 20, "--out", truth)
+        runs = []
+        monkeypatch.setattr(solver, "run_perpca", lambda *args, **kwargs: runs.append(args))
+        message = f"{synth_dir / 'client_0.csv'}: data has d=6, but the truth in {truth} has d=5"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            run("fit", synth_dir, "--r1", 1, "--r2", 1, "--truth", truth, "--out", tmp_path / "f")
+        assert runs == [] and not (tmp_path / "f").exists()
 
     def test_heterogeneous_local_ranks(self, synth_dir, tmp_path):
         out = tmp_path / "het"
@@ -380,6 +416,67 @@ def test_bench_writes_report(tmp_path):
     assert len(report) > 4
 
 
+class TestLifecycle:
+    ARGV = {
+        "synth": ["synth", "--d", 6, "--N", 3, "--n", 30, "--seed", 2],
+        "fit": ["fit", "DATA", "--r1", 1, "--r2", 1, "--rounds", 5, "--truth", "DATA"],
+        "baseline": ["baseline", "DATA", "--method", "cpca", "--r1", 1, "--r2", 1],
+        "bench": ["bench", "--scenario", "theta-sweep", "--repeats", 1],
+        "cluster": ["cluster", "--components", "FIT", "--k", 2],
+    }
+
+    @pytest.mark.parametrize("command", ARGV)
+    def test_main_records_each_run_after_its_outputs(self, synth_dir, tmp_path, monkeypatch,
+                                                     command):
+        fit_out = tmp_path / "fit"
+        run("fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 5, "--out", fit_out)
+        places = {"DATA": synth_dir, "FIT": fit_out}
+        argv = [str(places.get(a, a)) for a in self.ARGV[command]]
+        argv += ["--out", str(tmp_path / "out")]
+        manifest = tmp_path / "out" / "manifest.json"
+        events = []
+        write = fileio.write_manifest
+
+        def spy(out_dir, name, flags, **kwargs):
+            missing = [str(p) for p in kwargs["outputs"] if not Path(p).exists()]
+            events.append(("manifest", missing))
+            return write(out_dir, name, flags, **kwargs)
+
+        def closing(line):
+            events.append(("print", manifest.exists()))
+
+        monkeypatch.setattr(fileio, "write_manifest", spy)
+        monkeypatch.setattr(cli, "print", closing, raising=False)
+        assert cli.main(argv) == 0
+        assert events == [("manifest", []), ("print", True)]
+        written = json.loads(manifest.read_text())
+        assert written["command"] == command and written["outputs"]
+        assert written["flags"] == cli._resolve(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "DATA", "--r1", 5, "--r2", 5],
+        ["baseline", "DATA", "--method", "indiv", "--r1", 5, "--r2", 5],
+        ["synth", "--N", 3, "--groups", 4],
+    ], ids=lambda argv: argv[0])
+    def test_a_command_that_raises_writes_no_manifest_and_no_line(self, synth_dir, tmp_path,
+                                                                   capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError):
+            run(*[synth_dir if a == "DATA" else a for a in argv], "--out", out)
+        assert not (out / "manifest.json").exists()
+        assert capsys.readouterr().out == ""
+
+    def test_main_alone_resolves_options_and_writes_manifests(self):
+        callers = {}
+        for top in ast.parse(Path(cli.__file__).read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = ast.unparse(node.func)
+                    callers.setdefault(name, []).append(getattr(top, "name", None))
+        assert callers["_resolve"] == ["main"]
+        assert callers["fileio.write_manifest"] == ["main"]
+
+
 class TestOptionTable:
     def test_config_list_r2_runs_like_the_flag(self, synth_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -492,7 +589,7 @@ class TestOptionTable:
     def test_main_dispatches_to_the_current_module_attribute(self, monkeypatch):
         # the benchmark tracer replaces cli.cmd_* between calls
         seen = []
-        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.suite) or 0)
+        monkeypatch.setattr(cli, "cmd_check", lambda args, opt: seen.append(args.suite) or 0)
         assert run("check", "--suite", "arrowhead") == 0
         assert seen == [["arrowhead"]]
 

@@ -163,23 +163,27 @@ class TestAutoStepsize:
         S = 2.5 * np.outer(u, u)
         assert solver.operator_norm(S) == pytest.approx(2.5, rel=1e-5)
 
-    def test_stacked_power_iteration_matches_slices_bitwise(self):
+    def test_stacked_power_iteration_matches_slices_bitwise(self, monkeypatch):
         # slices that stop after different numbers of steps, one whose start
-        # vector lies in its null space, and a zero matrix
+        # vector lies in its null space, a zero matrix, and one that takes
+        # more than 500 steps
         rng = _rng(25)
         d = 6
         start = 1.0 + 1e-3 * np.arange(d)
         u = np.zeros(d)
         u[0], u[1] = start[1], -start[0]
         u /= np.linalg.norm(u)
+        slow = np.diag([1.0, 0.998, 0.996, 0.1, 0.0, 0.0])
         covs = np.stack([_psd(d, rng, 3.0), 2.5 * np.outer(u, u), _psd(d, rng, 1e-3),
                          np.zeros((d, d)), np.diag([1.0, 0.999, 0.5, 0.1, 0.0, 0.0]),
-                         _psd(d, rng)])
+                         _psd(d, rng), slow])
         stacked = solver.operator_norm(covs)
         loop = np.array([ref.operator_norm(S) for S in covs])
         assert np.array_equal(stacked, loop)
         assert stacked[3] == 0.0 and stacked[1] == pytest.approx(2.5, rel=1e-5)
         assert all(solver.operator_norm(S) == x for S, x in zip(covs, loop))
+        monkeypatch.setattr(solver, "POWER_MAX_ITER", 500)
+        assert solver.operator_norm(slow) == ref.operator_norm(slow, max_iter=500) != loop[-1]
 
 
 class TestInit:
