@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from . import baselines, metrics, model, solver, stiefel, synth
+from . import baselines, metrics, model, solver, stacks, stiefel, synth
 
 SCENARIOS = {}
 GAP_FLOOR_REL = 1e-12
@@ -152,7 +152,7 @@ def error_vs_N(repeats=3, seed0=0, Ns=(10, 30, 100), n=2000, rounds=300):
 
 def _convergence(spec, truth, covs, rounds):
     # noiseless and identifiable: the optimum is half the summed traces
-    f_star = 0.5 * sum(float(np.trace(S)) for S in covs)
+    f_star = 0.5 * float(stacks.client_sum(np.trace(covs, axis1=1, axis2=2)))
     _, trace = _solve(spec, covs, rounds, init="random")
     gaps = np.array([max(f_star - t.objective, 0.0) for t in trace])
     return {("perpca", "convergence_slope"): fit_convergence_slope(gaps),

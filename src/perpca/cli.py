@@ -251,10 +251,7 @@ def cmd_fit(args, opt):
     if config.stop_subspace_tol is not None and not opt["truth"]:
         raise SystemExit("--stop-tol needs --truth: early stopping compares with the true frames")
     paths = fileio.resolve_data_paths(args.data)
-    truth = None
-    if opt["truth"]:
-        truth = _load_components(opt["truth"], prefix="truth_")
-        _require_frame_per_file(truth[1], paths, opt["truth"], prefix="truth_")
+    truth = _load_truth(opt["truth"], paths) if opt["truth"] else None
     digests, covs, _ = _read_covariances(paths, opt)
     if truth is not None and len(truth[1][0]) != len(covs[0]):
         raise DimensionError(f"{paths[0]}: data has d={len(covs[0])}, but the truth in "
@@ -319,18 +316,28 @@ def _load_components(directory, prefix=""):
     return U, V
 
 
+def _load_truth(directory, paths):
+    """A truth's frames after the frame rule; a DimensionError naming ``directory`` unless
+    it holds ``truth_U`` and one ``truth_V_<i>`` per data file."""
+    U, V = _load_components(directory, prefix="truth_")
+    if U is None:
+        raise DimensionError(f"{directory} has no truth_U: a truth needs its shared frame")
+    _require_frame_per_file(V, paths, directory, prefix="truth_")
+    return U, V
+
+
 def cmd_eval(args, opt):
     data_paths = fileio.resolve_data_paths(args.data)
     U, V = _load_components(opt["components"])
+    # one local frame per data file; a shared frame alone (cpca) serves every client
+    if V or U is None:
+        _require_frame_per_file(V, data_paths, opt["components"])
     result = {}
     if opt["truth"]:
         if U is None or not V:
             raise SystemExit("subspace error needs both shared and local components")
-        truth = _load_components(opt["truth"], prefix="truth_")
+        truth = _load_truth(opt["truth"], data_paths)
         result["subspace_error"] = metrics.subspace_error(model.ComponentState(U, V), truth)
-    # one local frame per data file; a shared frame alone (cpca) serves every client
-    if V or U is None:
-        _require_frame_per_file(V, data_paths, opt["components"])
     frames = [[F for F in (U, Vi) if F is not None] for Vi in V or [None] * len(data_paths)]
 
     def error(i, Y):  # None when the frames have another d, raised below in client order

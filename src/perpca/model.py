@@ -143,13 +143,6 @@ class Diagnostics(NamedTuple):
     recon_error_mean: float
 
 
-def _sequential_sum(values):
-    total = 0.0
-    for value in values.tolist():
-        total += value
-    return total
-
-
 def diagnostics(U, V, covs, groups):
     """Objective, KKT residuals and mean reconstruction error in one pass.
 
@@ -157,10 +150,9 @@ def diagnostics(U, V, covs, groups):
     :mod:`perpca.stacks`); ``V[g]`` is the ``(n_g, d, r2)`` stack of their
     local frames and ``covs[g]`` the ``(n_g, d, d)`` stack of their
     covariances. ``S_i U`` and ``S_i V_i`` are formed once per client and
-    feed every quantity. Reductions over clients run in ascending client
-    order: the objective and ``kkt_local`` as sequential sums, the
-    ``kkt_global`` sum as a running sum, the reconstruction errors through
-    ``np.mean``; so the result equals a client-by-client loop bitwise.
+    feed every quantity. The objective, ``kkt_local`` and the ``kkt_global`` sum
+    are :func:`stacks.client_sum` of per-client terms and the reconstruction
+    errors go through ``np.mean``, so each equals a client-by-client loop bitwise.
     """
     parts = []
     for S, Vg in zip(covs, V):
@@ -178,11 +170,11 @@ def diagnostics(U, V, covs, groups):
         ))
     captured_u, captured_v, traces, global_terms, local_res = (
         stacks.client_stack(groups, column) for column in zip(*parts))
-    global_sum = np.add.accumulate(global_terms, axis=0)[-1]
+    global_sum = stacks.client_sum(global_terms)
     return Diagnostics(
-        objective=_sequential_sum(0.5 * (captured_u + captured_v)),
+        objective=float(stacks.client_sum(0.5 * (captured_u + captured_v))),
         kkt_global=float(np.sum(global_sum * global_sum)),
-        kkt_local=_sequential_sum(local_res),
+        kkt_local=float(stacks.client_sum(local_res)),
         recon_error_mean=float(np.mean(traces - captured_u - captured_v)),
     )
 

@@ -234,12 +234,8 @@ def client_update_choice2(U, V, S, eta):
 
 
 def server_aggregate(U_candidates, U_prev, retraction="polar"):
-    """Average the clients' shared-frame candidates and retract at U_prev.
-
-    ``U_candidates`` is the stack ``(N, d, r1)`` of candidates. They are
-    summed in ascending client order, as a running sum, so the result does
-    not depend on how numpy would reduce the axis.
-    """
+    """Average the ``(N, d, r1)`` stack of the clients' shared-frame candidates, as
+    :func:`stacks.client_sum` over N, and retract at U_prev."""
     if len(U_candidates) == 0:
         raise ValueError("no candidates to aggregate")
     stack = np.asarray(U_candidates, dtype=float)
@@ -247,8 +243,7 @@ def server_aggregate(U_candidates, U_prev, retraction="polar"):
         raise DimensionError(
             f"candidates have shape {stack.shape}, expected (N, {U_prev.shape[0]}, "
             f"{U_prev.shape[1]})")
-    mean = np.add.accumulate(stack, axis=0)[-1]
-    mean /= len(stack)
+    mean = stacks.client_sum(stack) / len(stack)
     return stiefel.RETRACTIONS[retraction](U_prev, mean - U_prev)
 
 

@@ -60,3 +60,11 @@ def client_stack(groups, stacks):
     for clients, stack in zip(groups, stacks):
         out[clients] = stack
     return out
+
+
+def client_sum(stack):
+    """The one sum over clients: ``stack[0] + stack[1] + ...`` along the first axis, as a
+    running sum in ascending client order, so it equals a client-by-client loop bitwise.
+    Per-client ``(d, d)`` matrices that are made one at a time are summed as they stream in
+    instead (``metrics.heterogeneity``, ``baselines.central_pca``): a stack would hold all N."""
+    return np.add.accumulate(stack, axis=0)[-1]

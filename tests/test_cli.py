@@ -339,7 +339,8 @@ class TestBaselineEvalCluster:
         ("indiv", None, SystemExit, "^subspace error needs both shared and local components$"),
         ("distpca", ["--d", 5, "--N", 3], DimensionError,
          r"^true shared frame has shape \(5, 1\), expected \(6, r\)$"),
-        ("distpca", ["--d", 6, "--N", 4], DimensionError, r"^4 true local frames for 3 clients$"),
+        ("distpca", ["--d", 6, "--N", 4], DimensionError,
+         "^4 local frames in {truth} for 3 data files: truth_V_3 has no data file$"),
     ], ids=["local-only", "d", "N"])
     def test_eval_truth_is_checked_before_reading_data(self, synth_dir, tmp_path, monkeypatch,
                                                        method, sizes, kind, message):
@@ -349,8 +350,28 @@ class TestBaselineEvalCluster:
             truth = tmp_path / "truth"
             run("synth", *sizes, "--r1", 1, "--r2", 1, "--n", 20, "--out", truth)
         _refuse_data_reads(monkeypatch)
-        with pytest.raises(kind, match=message):
+        with pytest.raises(kind, match=message.format(truth=re.escape(str(truth)))):
             run("eval", synth_dir, "--components", out, "--truth", truth)
+
+    @pytest.mark.parametrize("missing, message", [
+        ("truth_U", "{truth} has no truth_U: a truth needs its shared frame"),
+        ("truth_V_", "0 local frames in {truth} for 3 data files: no truth_V_0 for {data}"),
+    ], ids=["U", "V"])
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_truth_without_its_frames_fails_before_reading_data(
+            self, synth_dir, tmp_path, monkeypatch, command, missing, message):
+        fit_out, truth = tmp_path / "fit", tmp_path / "truth"
+        run("fit", synth_dir, "--r1", 1, "--r2", 1, "--rounds", 5, "--out", fit_out)
+        truth.mkdir()
+        for path in synth_dir.glob("truth_*.csv"):
+            if not path.name.startswith(missing):
+                (truth / path.name).write_bytes(path.read_bytes())
+        argv = (["fit", synth_dir, "--r1", 1, "--r2", 1, "--out", tmp_path / "f2"]
+                if command == "fit" else ["eval", synth_dir, "--components", fit_out])
+        message = message.format(truth=truth, data=synth_dir / "client_0.csv")
+        _refuse_data_reads(monkeypatch)
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            run(*argv, "--truth", truth)
 
     def test_eval_refuses_a_non_finite_error(self, tmp_path, capsys):
         # entries near 1e200 overflow the squared residual: the report used to read Infinity

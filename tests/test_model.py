@@ -1,6 +1,8 @@
+import ast
 import collections
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -515,6 +517,58 @@ def test_by_group_equals_fancy_indexing_in_group_order():
     for clients, part in zip(groups, parts, strict=True):
         assert part.tobytes() == stack[clients].tobytes()
     assert stacks.client_stack(groups, parts).tobytes() == stack.tobytes()
+
+
+def _spread_stack(shape, rng):
+    # a client stack whose entries span twelve orders of magnitude, in shuffled order
+    n = shape[0]
+    scale = rng.permutation(10.0 ** np.linspace(-6, 6, n)).reshape((n,) + (1,) * (len(shape) - 1))
+    return rng.standard_normal(shape) * scale
+
+
+@pytest.mark.parametrize("shape", [(1,), (16,), (1, 3, 2), (9, 6, 2)])
+def test_client_sum_equals_a_left_to_right_loop_bitwise(shape):
+    stack = _spread_stack(shape, _rng(25))
+    total = stack[0].copy()
+    for term in stack[1:]:
+        total = total + term
+    assert stacks.client_sum(stack).tobytes() == total.tobytes()
+    if len(shape) == 1:  # the Python float loop the diagnostics used to run
+        assert float(stacks.client_sum(stack)) == sum(stack.tolist(), 0.0)
+
+
+def test_client_sum_is_pinned_against_other_orders():
+    rng = _rng(27)
+    values, frames = _spread_stack((16,), rng), _spread_stack((9, 6, 2), rng)
+    assert stacks.client_sum(values) != stacks.client_sum(values[::-1])
+    assert stacks.client_sum(values) != np.sum(values, axis=0)
+    assert not np.array_equal(stacks.client_sum(frames), stacks.client_sum(frames[::-1]))
+
+
+def _attribute_uses(tree, attr):
+    """The top-level def holding each use of ``.attr`` in ``tree``; None outside one."""
+    owners = []
+    for node in tree.body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else None
+        owners += [owner for use in ast.walk(node)
+                   if isinstance(use, ast.Attribute) and use.attr == attr]
+    return owners
+
+
+def test_sums_over_clients_have_one_owner():
+    # the one running sum is stacks.client_sum, and every client sum reported goes through it
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(stacks.__file__).parent.glob("*.py"))}
+    uses = {attr: collections.Counter((name, owner) for name, tree in trees.items()
+                                      for owner in _attribute_uses(tree, attr))
+            for attr in ("accumulate", "client_sum")}
+    assert uses["accumulate"] == {("stacks.py", "client_sum"): 1}
+    callers = {("solver.py", "server_aggregate"): 1, ("model.py", "diagnostics"): 3,
+               ("bench.py", "_convergence"): 1}
+    assert {caller: uses["client_sum"][caller] for caller in callers} == callers
+    names = {getattr(node, key, None) for tree in trees.values() for node in ast.walk(tree)
+             for key in ("id", "attr", "name")}
+    assert "_sequential_sum" not in names
 
 
 def test_equal_rank_solve_rounds_over_the_checked_covariance_stack(monkeypatch):
