@@ -337,6 +337,9 @@ def cmd_eval(args, opt):
         if U is None or not V:
             raise SystemExit("subspace error needs both shared and local components")
         truth = _load_truth(opt["truth"], data_paths)
+        if len(truth[0]) != len(U):
+            raise DimensionError(f"{opt['components']}: components have d={len(U)}, but the "
+                                 f"truth in {opt['truth']} has d={len(truth[0])}")
         result["subspace_error"] = metrics.subspace_error(model.ComponentState(U, V), truth)
     frames = [[F for F in (U, Vi) if F is not None] for Vi in V or [None] * len(data_paths)]
 

@@ -35,10 +35,14 @@ class TestSynth:
         names = {p.name for p in synth_dir.iterdir()}
         assert names == {
             "client_0.csv", "client_1.csv", "client_2.csv",
+            ".client_0.csv.f64", ".client_1.csv.f64", ".client_2.csv.f64",
             "truth_U.csv", "truth_V_0.csv", "truth_V_1.csv", "truth_V_2.csv",
             "manifest.json",
         }
         manifest = json.loads((synth_dir / "manifest.json").read_text())
+        # the manifest lists every file but itself and the sidecars
+        assert {Path(p).name for p in manifest["outputs"]} == {
+            name for name in names if not name.startswith(".") and name != "manifest.json"}
         assert "theta_actual" in manifest["metrics"]
         assert "eigengap" in manifest["metrics"]
 
@@ -338,7 +342,7 @@ class TestBaselineEvalCluster:
     @pytest.mark.parametrize("method, sizes, kind, message", [
         ("indiv", None, SystemExit, "^subspace error needs both shared and local components$"),
         ("distpca", ["--d", 5, "--N", 3], DimensionError,
-         r"^true shared frame has shape \(5, 1\), expected \(6, r\)$"),
+         "^{components}: components have d=6, but the truth in {truth} has d=5$"),
         ("distpca", ["--d", 6, "--N", 4], DimensionError,
          "^4 local frames in {truth} for 3 data files: truth_V_3 has no data file$"),
     ], ids=["local-only", "d", "N"])
@@ -350,7 +354,8 @@ class TestBaselineEvalCluster:
             truth = tmp_path / "truth"
             run("synth", *sizes, "--r1", 1, "--r2", 1, "--n", 20, "--out", truth)
         _refuse_data_reads(monkeypatch)
-        with pytest.raises(kind, match=message.format(truth=re.escape(str(truth)))):
+        message = message.format(truth=re.escape(str(truth)), components=re.escape(str(out)))
+        with pytest.raises(kind, match=message):
             run("eval", synth_dir, "--components", out, "--truth", truth)
 
     @pytest.mark.parametrize("missing, message", [

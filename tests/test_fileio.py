@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -140,6 +142,194 @@ class TestDatasets:
         (_, _, back), = fileio.read_clients(fileio.resolve_data_paths([tmp_path]), _identity,
                                             center=True)
         assert np.max(np.abs(back.mean(axis=1))) < 1e-12
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                1e300, -1e300, 1e-300, -1e-300, 0.1 + 0.2, 1 / 3, -2 / 3,
+                float(np.nextafter(1.0, 2.0)), 123456789.01234567]
+
+
+def _edge_clients():
+    """Two clients at d=3 holding every edge value, and random values at 17 digits."""
+    values = np.array(_EDGE_VALUES)
+    rng = _rng()
+    return [values.reshape(3, -1),
+            np.concatenate([values[::-1], rng.standard_normal(12) * 1e-7]).reshape(3, -1)]
+
+
+def _sidecar_fields(path):
+    """The sidecar of ``path`` as ``(csv sha256, header flag, payload sha256, matrix)``,
+    decoded here from its documented layout."""
+    raw = fileio._sidecar(path).read_bytes()
+    assert raw[:8] == b"perpca\x00\x01"
+    rows, cols = (int(n) for n in np.frombuffer(raw[80:96], dtype="<u8"))
+    assert len(raw) == 96 + 8 * rows * cols
+    M = np.frombuffer(raw, dtype="<f8", offset=96).reshape(rows, cols)
+    return raw[8:40], int(np.frombuffer(raw[40:48], dtype="<u8")[0]), raw[48:80], M
+
+
+def _client_parses(monkeypatch):
+    """Names of the client files ``load_matrix`` parses from now on, in this process."""
+    parsed, load = [], fileio.load_matrix
+
+    def counted(path, **kwargs):
+        parsed.append(Path(path).name)
+        return load(path, **kwargs)
+
+    monkeypatch.setattr(fileio, "load_matrix", counted)
+    return parsed
+
+
+def _flip(raw, at):
+    return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1:]
+
+
+@pytest.mark.usefixtures("deadline")
+class TestSidecars:
+    """Each CSV client file that ``write_clients`` writes gets a verified binary sidecar."""
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_sidecar_holds_the_parse_bit_for_bit(self, tmp_path, monkeypatch, header):
+        paths = _write(tmp_path, _edge_clients(), header=header)
+        for path in paths:
+            csv_sha, flag, payload_sha, M = _sidecar_fields(path)
+            parsed = fileio.load_matrix(path, header=header)
+            assert M.shape == parsed.shape and M.tobytes() == parsed.tobytes()
+            assert csv_sha == bytes.fromhex(fileio.file_digest(path))
+            assert flag == header
+            assert payload_sha == hashlib.sha256(np.array(M.shape, dtype="<u8").tobytes()
+                                                 + M.tobytes()).digest()
+        assert np.signbit(_sidecar_fields(paths[0])[3][0, 1])  # -0.0 kept
+        # the readers take the sidecar and parse nothing
+        force(monkeypatch, "serial")
+        parsed = _client_parses(monkeypatch)
+        replies = fileio.read_clients(paths, _identity, header=header, digest=True)
+        assert parsed == []
+        for path, (digest, shape, Y) in zip(paths, replies, strict=True):
+            assert digest == fileio.file_digest(path) and shape == Y.shape
+            assert Y.tobytes() == fileio.load_matrix(path, header=header).T.tobytes()
+
+    def test_only_csv_client_files_get_a_sidecar(self, tmp_path):
+        _write(tmp_path / "csv", _clients(2))
+        _write(tmp_path / "bin", _clients(2), fmt="bin")
+        fileio.save_components(tmp_path / "comp", np.eye(3)[:, :1], [np.eye(3)[:, 1:]])
+        names = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                       if p.is_file())
+        assert names == ["bin/client_0.mat64", "bin/client_1.mat64", "comp/U.csv",
+                         "comp/V_0.csv", "csv/.client_0.csv.f64", "csv/.client_1.csv.f64",
+                         "csv/client_0.csv", "csv/client_1.csv"]
+
+    @pytest.mark.parametrize("defect", [
+        "missing", "empty", "truncated-head", "truncated-payload", "longer", "magic",
+        "csv-digest", "payload-digest", "payload-value", "shape", "header", "stale",
+        "directory",
+    ])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_bad_sidecar_falls_back_to_the_parse(self, tmp_path, monkeypatch, mode, defect):
+        paths = _write(tmp_path, _clients(3))
+        side = fileio._sidecar(paths[1])
+        raw = side.read_bytes()
+        if defect == "stale":  # one digit changed after writing, same length
+            text = paths[1].read_text()
+            at = text.index(".") + 3
+            digit = "1" if text[at] != "1" else "2"
+            paths[1].write_text(text[:at] + digit + text[at + 1:])
+            assert len(paths[1].read_bytes()) == len(text)
+        elif defect == "directory":
+            side.unlink()
+            side.mkdir()
+        elif defect == "missing":
+            side.unlink()
+        else:
+            side.write_bytes({
+                "empty": b"",
+                "truncated-head": raw[:60],
+                "truncated-payload": raw[:-8],
+                "longer": raw + bytes(8),
+                "magic": _flip(raw, 3),
+                "csv-digest": _flip(raw, 20),
+                "payload-digest": _flip(raw, 60),
+                "payload-value": _flip(raw, 100),
+                "shape": raw[:80] + np.array([3, 7], dtype="<u8").tobytes() + raw[96:],
+                "header": raw[:40] + np.array([1], dtype="<u8").tobytes() + raw[48:],
+            }[defect])
+        before = sorted((p.name, p.is_file() and p.read_bytes()) for p in tmp_path.iterdir())
+        force(monkeypatch, mode)
+        parsed = _client_parses(monkeypatch)
+        replies = fileio.read_clients(paths, _identity, digest=True)
+        assert parsed == (["client_1.csv"] if mode == "serial" else [])  # forked: not seen
+        digest, shape, Y = replies[1]
+        parsed = fileio.load_matrix(paths[1]).T
+        assert digest == fileio.file_digest(paths[1])
+        assert shape == parsed.shape and Y.tobytes() == parsed.tobytes()
+        if defect == "stale":
+            assert Y.tobytes() != _sidecar_fields(paths[1])[3].T.tobytes()
+        # the reader wrote nothing: no sidecar made, mended or removed
+        assert sorted((p.name, p.is_file() and p.read_bytes())
+                      for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_a_header_flag_that_disagrees_with_the_reader_falls_back(self, tmp_path, header):
+        # a file written without a header and read with one loses its first row in the
+        # parse, as it always has; written with one and read without, the parse refuses it
+        paths = _write(tmp_path, _clients(2), header=header)
+        if header:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(paths[0]))}: "):
+                fileio.read_clients(paths, _identity)
+        else:
+            (_, shape, Y), _ = fileio.read_clients(paths, _identity, header=True)
+            assert Y.tobytes() == fileio.load_matrix(paths[0], header=True).T.tobytes()
+            assert shape == (4, 2)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("same_length", [False, True])
+    def test_a_nan_edit_raises_the_parse_error(self, tmp_path, monkeypatch, mode, same_length):
+        paths = _write(tmp_path, [np.full((2, 6), 1.5), np.full((2, 6), 1.25)])
+        text = paths[1].read_text()  # 1.25,1.25 per row: row 3, column 1 becomes nan
+        lines = text.splitlines()
+        lines[3] = "1.25," + (" nan" if same_length else "nan")
+        paths[1].write_text("\n".join(lines) + "\n")
+        assert (len(paths[1].read_text()) == len(text)) == same_length
+        force(monkeypatch, mode)
+        message = f"{paths[1]}: non-finite value nan in row 3, column 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fileio.read_clients(paths, _identity)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_non_finite_draw_is_refused_by_the_parse(self, tmp_path, monkeypatch, mode):
+        # the sidecar holds the same NaN with consistent digests; its finiteness check
+        # sends the reader to the parse, which names the file
+        Y = np.ones((2, 4))
+        Y[1, 2] = np.nan
+        paths = _write(tmp_path, [np.ones((2, 4)), Y])
+        assert np.isnan(_sidecar_fields(paths[1])[3][2, 1])
+        force(monkeypatch, mode)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(paths[1]))}: non-finite value "
+                                             "nan in row 2, column 1$"):
+            fileio.read_clients(paths, _identity)
+
+    def test_a_hit_never_holds_the_csv_bytes(self, tmp_path, monkeypatch):
+        # ~4 MB of CSV text: from the sidecar the reader holds its matrix and one block of
+        # the hashed file; the parse holds the whole text beside the matrix
+        Y = _rng().standard_normal((8, 25000))
+        path, = _write(tmp_path, [Y])
+        size = path.stat().st_size
+        force(monkeypatch, "serial")
+
+        def peak():
+            tracemalloc.start()
+            try:
+                fileio.read_clients([path], lambda i, Y: None, digest=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        hit = peak()
+        fileio._sidecar(path).unlink()
+        miss = peak()
+        # the matrix, its finiteness mask and a block of the file, against text and matrix
+        assert hit < Y.nbytes + Y.size + (1 << 19) < size + Y.nbytes < miss
 
 
 class TestComponents:
@@ -323,11 +513,11 @@ class TestParallelFiles:
         Ys = _clients()
 
         def write(out):
-            paths = _write(out, Ys, header=header)
-            return [(p.name, p.read_bytes()) for p in paths]
+            _write(out, Ys, header=header)
+            return [(p.name, p.read_bytes()) for p in sorted(out.iterdir())]
 
         serial_files, parallel_files = each_mode(lambda mode: write(tmp_path / mode))
-        assert len(serial_files) == 5
+        assert len(serial_files) == 10  # five files and their sidecars
         assert serial_files == parallel_files
 
     @pytest.mark.parametrize("center", [False, True])
@@ -382,14 +572,14 @@ class TestParallelFiles:
     def test_killed_read_worker_raises(self, tmp_path, monkeypatch):
         force(monkeypatch, "parallel")
         paths = _write(tmp_path, _clients())
-        load = fileio.load_matrix
+        load = fileio._load_client  # from the sidecar or the parse
 
-        def killed_on_client_2(path, **kwargs):
+        def killed_on_client_2(path, *args):
             if Path(path).name == "client_2.csv":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return load(path, **kwargs)
+            return load(path, *args)
 
-        monkeypatch.setattr(fileio, "load_matrix", killed_on_client_2)
+        monkeypatch.setattr(fileio, "_load_client", killed_on_client_2)
         with pytest.raises(RuntimeError, match=r"client_2\.csv: worker process exited"):
             fileio.read_clients(paths, _identity)
 
@@ -509,14 +699,14 @@ class TestStreamedCommands:
     @pytest.mark.parametrize("command", _READERS)
     def test_dead_worker_names_its_file(self, fitted, tmp_path, monkeypatch, command):
         paths, fit = fitted
-        load = fileio.load_matrix
+        load = fileio._load_client
 
-        def killed_on_client_1(path, **kwargs):
+        def killed_on_client_1(path, *args):
             if Path(path).name == "client_1.csv":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return load(path, **kwargs)
+            return load(path, *args)
 
-        monkeypatch.setattr(fileio, "load_matrix", killed_on_client_1)
+        monkeypatch.setattr(fileio, "_load_client", killed_on_client_1)
         force(monkeypatch, "parallel")
         with pytest.raises(RuntimeError,
                            match=f"^{re.escape(str(paths[1]))}: worker process exited"):
@@ -542,18 +732,18 @@ class TestStreamedCommands:
         paths, fit = fitted
         parent, alive = os.getpid(), []
 
-        def one_at_a_time(make, of_client=lambda *args: True):
+        def one_at_a_time(make, array=lambda made: made):
             def made(*args, **kwargs):
-                M = make(*args, **kwargs)
-                if of_client(*args):
-                    assert mode == "serial" or os.getpid() != parent, "client array in the parent"
-                    assert all(ref() is None for ref in alive), "two client arrays at once"
-                    alive.append(weakref.ref(M))
-                return M
+                result = make(*args, **kwargs)
+                assert mode == "serial" or os.getpid() != parent, "client array in the parent"
+                assert all(ref() is None for ref in alive), "two client arrays at once"
+                alive.append(weakref.ref(array(result)))
+                return result
             return made
 
-        monkeypatch.setattr(fileio, "load_matrix", one_at_a_time(
-            fileio.load_matrix, lambda path: Path(path).name.startswith("client_")))
+        # a client's matrix comes from its sidecar or its parse: (digest, matrix)
+        monkeypatch.setattr(fileio, "_load_client", one_at_a_time(
+            fileio._load_client, lambda loaded: loaded[1]))
         monkeypatch.setattr(synth, "client_observations", one_at_a_time(synth.client_observations))
         force(monkeypatch, mode)
         argv = (["synth", "--d", "6", "--N", "3", "--r1", "1", "--r2", "1", "--n", "80",
@@ -624,9 +814,10 @@ def test_fuzz_csv_bytes_equal_savetxt(M, header):
         assert ours == (Path(tmp) / "ref.csv").read_bytes()
 
 
-def _pipeline_outputs(out, fmt, header, center):
+def _pipeline_outputs(out, fmt, header, center, sidecars=True):
     """Every file that ``synth``, ``fit``, the three baselines and ``eval`` write, as
-    bytes by path under ``out``; manifests without their time fields and ``out``."""
+    bytes by path under ``out``; manifests without their time fields and ``out``.
+    Without ``sidecars``, they are deleted after ``synth`` and not listed."""
     data, ranks = out / "data", ["--r1", "1", "--r2", "1"]
     reading = ["--header"] * header + ["--center"] * center
     argv = [["synth", "--d", "6", "--N", "3", *ranks, "--n", "80", "--noise-std", "0.2",
@@ -640,6 +831,9 @@ def _pipeline_outputs(out, fmt, header, center):
     for args in argv:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([str(a) for a in args]) == 0
+        if not sidecars:
+            for path in data.glob(".client_*.csv.f64"):
+                path.unlink()
     files = {}
     for path in sorted(out.rglob("*")):
         if path.is_file():
@@ -691,4 +885,29 @@ def test_every_command_writes_the_same_bytes_serial_and_forked(tmp_path, blas):
     code = ("import json, pathlib, test_fileio; "
             f"print(json.dumps(test_fileio._compare_pipelines(pathlib.Path({str(tmp_path)!r}))))")
     compared, differ = json_in_interpreter(code, blas)
-    assert compared == 8 * 26 and differ == []  # 26 files per pipeline
+    # 26 files per pipeline, and three sidecars per CSV pipeline
+    assert compared == 8 * 26 + 4 * 3 and differ == []
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("header, center", itertools.product((False, True), repeat=2))
+def test_sidecars_change_no_output(tmp_path, header, center):
+    # with sidecars no reader parses a client file; without them every reader does, and
+    # every file and manifest is the same, serially and forked
+    def refuse_client_parses(path, **kwargs):
+        assert not Path(path).name.startswith("client_"), f"{path} was parsed"
+        return load(path, **kwargs)
+
+    def both(mode):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "load_matrix", refuse_client_parses)
+            used = _pipeline_outputs(tmp_path / f"{mode}-used", "csv", header, center)
+        return used, _pipeline_outputs(tmp_path / f"{mode}-deleted", "csv", header, center,
+                                       sidecars=False)
+
+    load = fileio.load_matrix
+    for used, deleted in each_mode(both):
+        sidecars = sorted(name for name in used if Path(name).name.startswith("."))
+        assert sidecars == [f"data/.client_{i}.csv.f64" for i in range(3)]
+        assert len(deleted) == 26
+        assert {name: b for name, b in used.items() if name not in sidecars} == deleted
