@@ -17,10 +17,12 @@ import os
 import threading
 
 # Forking and joining two workers costs 6-14 ms on a 2-vCPU host; 2 MiB is
-# about 0.13 s of serial CSV writing (2^18 values) or 26 ms of parsing. A CSV
-# file read from its verified sidecar costs about 3 ms per 2 MiB, so such reads
-# gain from forking only from about 16 MiB on; the gate still counts CSV bytes,
-# as no task knows before it runs whether its sidecar verifies.
+# about 26 ms of parsing CSV, or 2^18 values (0.1-0.2 s of writing them as CSV by
+# ``%``, 0.04-0.06 s through fileio's kernel). A CSV file read from its verified sidecar costs
+# about 3 ms per 2 MiB, an eighth of its parse, so fileio's read gate counts a CSV
+# file with a sidecar beside it at an eighth of its bytes: such reads fork from
+# about 16 MiB of CSV on. The count is an estimate, as no task knows before it
+# runs whether its sidecar verifies.
 # Starting and joining a thread pool costs well under a millisecond; 1 MiB is
 # about 7 ms of serial planted draws (2^17 values) on a 2.1 GHz Xeon core.
 MIN_BYTES = {"fork": 2 << 20, "thread": 1 << 20}

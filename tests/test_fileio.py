@@ -13,6 +13,7 @@ import sys
 import tempfile
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,34 @@ class TestSidecars:
         for path, (digest, shape, Y) in zip(paths, replies, strict=True):
             assert digest == fileio.file_digest(path) and shape == Y.shape
             assert Y.tobytes() == fileio.load_matrix(path, header=header).T.tobytes()
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_the_recorded_csv_digest_is_the_files(self, tmp_path, header):
+        # the writer hashes the bytes it writes, serially and in forked workers
+        Ys = [_rng().standard_normal((8, 2500)) + i for i in range(3)]
+
+        def digests(mode):
+            paths = _write(tmp_path / mode, Ys, header=header)
+            return [(_sidecar_fields(p)[0], hashlib.sha256(p.read_bytes()).digest())
+                    for p in paths]
+
+        for pairs in each_mode(digests):
+            assert len(pairs) == 3 and all(recorded == actual for recorded, actual in pairs)
+
+    def test_the_read_gate_counts_a_csv_file_with_a_sidecar_at_an_eighth(self, tmp_path,
+                                                                         monkeypatch):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 3)
+        paths = _write(tmp_path, [_rng().standard_normal((8, 5000)) for _ in range(3)])
+        sizes = [p.stat().st_size for p in paths]
+        assert 8 * parallel.MIN_BYTES["fork"] > sum(sizes) > parallel.MIN_BYTES["fork"]
+        assert fileio._read_payload(paths) == sum(n // 8 for n in sizes)
+        assert parallel.workers(3, fileio._read_payload(paths), "fork") == 0
+        fileio._sidecar(paths[1]).unlink()
+        assert fileio._read_payload(paths) == sizes[0] // 8 + sizes[1] + sizes[2] // 8
+        for path in paths:
+            fileio._sidecar(path).unlink(missing_ok=True)
+        assert fileio._read_payload(paths) == sum(sizes)
+        assert parallel.workers(3, fileio._read_payload(paths), "fork") == 3
 
     def test_only_csv_client_files_get_a_sidecar(self, tmp_path):
         _write(tmp_path / "csv", _clients(2))
@@ -585,14 +614,14 @@ class TestParallelFiles:
 
     def test_killed_write_worker_raises(self, tmp_path, monkeypatch):
         force(monkeypatch, "parallel")
-        save = fileio.save_matrix
+        write = fileio._write_csv  # returns the digest that the sidecar records
 
         def killed_on_client_4(path, *args):
             if Path(path).name == "client_4.csv":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return save(path, *args)
+            return write(path, *args)
 
-        monkeypatch.setattr(fileio, "save_matrix", killed_on_client_4)
+        monkeypatch.setattr(fileio, "_write_csv", killed_on_client_4)
         with pytest.raises(RuntimeError, match=r"client_4\.csv: worker process exited"):
             _write(tmp_path, _clients())
 
@@ -812,6 +841,97 @@ def test_fuzz_csv_bytes_equal_savetxt(M, header):
         np.savetxt(Path(tmp) / "ref.csv", M, fmt="%.17g", delimiter=",",
                    header=",".join(header) if header else "", comments="")
         assert ours == (Path(tmp) / "ref.csv").read_bytes()
+
+
+def _percent(block):
+    """The oracle: ``block``'s rows as ``%.17g`` CSV bytes, one ``%`` call per value."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in block.tolist()).encode()
+
+
+def _ties(count):
+    """Exact ties at 17 significant digits: odd multiples x of 2^-s in [2^40, 2^53) with
+    10^E <= x < 10^(E+1), E = 17 - s, so that x 10^(16 - E) lies halfway between two
+    integers."""
+    rng = _rng()
+    values = []
+    for s in range(2, 6):
+        low = max(10.0 ** (17 - s), 2.0**40)
+        high = min(10.0 ** (18 - s), 2.0 ** (53 - s))
+        m = rng.integers(int(low * 2**s) // 2, int(high * 2**s) // 2, count) * 2 + 1
+        values.append(np.ldexp(m.astype(float), -s))
+    return np.concatenate(values)
+
+
+def _powers_of_ten():
+    """10^k for k = -6..18 and both float64 neighbours of each, with both signs."""
+    tens = 10.0 ** np.arange(-6, 19)
+    near = np.concatenate([np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf)])
+    return np.concatenate([near, -near])
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, np.nan, np.inf, -np.inf]
+
+
+class TestCsvKernel:
+    """``fileio._csv_kernel`` writes what ``%`` writes, value by value."""
+
+    def test_exact_ties_round_half_to_even(self):
+        x = _ties(5000)
+        # x has E + 1 integer digits, and x 10^(16 - E) is an odd multiple of 1/2
+        assert all((Fraction(v) * 10 ** (17 - len(str(int(v))))).denominator == 2
+                   for v in x.tolist())
+        block = np.concatenate([x, -x]).reshape(-1, 8)
+        assert fileio._csv_kernel(block) == _percent(block)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = _powers_of_ten()
+        for block in (values.reshape(-1, 6), values.reshape(1, -1), values.reshape(-1, 1)):
+            assert fileio._csv_kernel(block) == _percent(block)
+
+    @pytest.mark.parametrize("block", [np.array(_SPECIAL)[None], np.array(_SPECIAL)[:, None],
+                                       np.array([[np.nan]]), np.zeros((3, 4)),
+                                       np.full((2, 3), -9.9e-5), np.full((3, 2), 1e17)])
+    def test_blocks_where_every_value_falls_back(self, block):
+        assert fileio._csv_kernel(block) == _percent(block)
+
+    def test_blocks_that_mix_both_paths(self):
+        rng = _rng()
+        values = np.concatenate([_SPECIAL, _EDGE_VALUES, _powers_of_ten(), _ties(20),
+                                 rng.standard_normal(300)])
+        for shape in [(1, -1), (-1, 1), (-1, values.size // 7)]:
+            block = rng.permutation(values)[:values.size // 7 * 7].reshape(shape)
+            assert fileio._csv_kernel(block) == _percent(block)
+
+    def test_a_million_values_across_decades(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(1, 10, 10**6) * 10.0 ** rng.integers(-8, 20, 10**6)
+        x *= rng.choice([-1.0, 1.0], 10**6)
+        x[::7] = np.round(x[::7], 3)  # trailing zeros, and zeros
+        for block in x.reshape(-1, 40, 50):
+            assert fileio._csv_kernel(block) == _percent(block)
+
+    @pytest.mark.parametrize("header", [None, ["a", "b"]])
+    @pytest.mark.parametrize("size", [fileio._KERNEL_MIN_VALUES - 2, fileio._KERNEL_MIN_VALUES,
+                                      2 * fileio._CSV_BLOCK_VALUES + 6])
+    def test_save_matrix_on_both_sides_of_the_break_even(self, tmp_path, monkeypatch, size,
+                                                         header):
+        calls, kernel = [], fileio._csv_kernel
+
+        def counted(block):
+            calls.append(block.size)
+            return kernel(block)
+
+        monkeypatch.setattr(fileio, "_csv_kernel", counted)
+        rng = _rng()
+        M = rng.standard_normal((size // 2, 2)) * 10.0 ** rng.integers(-6, 19, (size // 2, 2))
+        M[::17] = _SPECIAL[:2]
+        ours = fileio.save_matrix(tmp_path / "ours.csv", M, header).read_bytes()
+        np.savetxt(tmp_path / "ref.csv", M, fmt="%.17g", delimiter=",",
+                   header=",".join(header) if header else "", comments="")
+        assert ours == (tmp_path / "ref.csv").read_bytes()
+        assert sum(calls) == (size if size >= fileio._KERNEL_MIN_VALUES else 0)
+        assert max(calls, default=0) <= fileio._CSV_BLOCK_VALUES
 
 
 def _pipeline_outputs(out, fmt, header, center, sidecars=True):
